@@ -16,7 +16,7 @@
     fuzzing decisions never branch on observer state — so observed and
     unobserved campaigns run byte-identical trajectories (test-enforced). *)
 
-type config = {
+type config = Executor.config = {
   mode : Pathcov.Feedback.mode;
   budget : int;  (** total target executions *)
   rng_seed : int;
@@ -29,19 +29,7 @@ type config = {
   selective : bool;  (** signal-first execution with full replay on novelty *)
 }
 
-let default_config =
-  {
-    mode = Pathcov.Feedback.Edge;
-    budget = 20_000;
-    rng_seed = 1;
-    fuel = Vm.Interp.default_fuel;
-    max_depth = Vm.Interp.default_max_depth;
-    map_size_log2 = 16;
-    cmplog = true;
-    max_queue = 500_000;
-    engine = Tracer.Interp;
-    selective = false;
-  }
+let default_config = Executor.default_config
 
 type result = {
   config : config;
@@ -61,355 +49,312 @@ type result = {
 let queue_inputs (r : result) : string list =
   List.map (fun (e : Corpus.entry) -> e.data) (Corpus.to_list r.corpus)
 
-(** Per-exec comparison-operand capture: a flat, insertion-ordered,
-    deduplicated buffer bounded at {!cmp_capacity} pairs. The previous
-    [(int * int, unit) Hashtbl.t] allocated a key tuple per probe hit and
-    — worse — handed its pairs to the mutator in [Hashtbl.fold] order, an
-    implementation detail of the hash function; program order is the
-    deterministic contract. *)
-type cmp_buf = {
+type cmp_buf = Executor.cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
 }
 
-let cmp_capacity = 64
+let make_cmp_buf = Executor.make_cmp_buf
+let cmps_of_buf = Executor.cmps_of_buf
+let make_hooks = Executor.make_hooks
 
-let make_cmp_buf () =
-  {
-    ops_a = Array.make cmp_capacity 0;
-    ops_b = Array.make cmp_capacity 0;
-    n_cmps = 0;
-  }
+(* ------------------------------------------------------------------ *)
+(* Queue-side bookkeeping, shared with the sharded coordinator *)
 
-let cmp_seen (b : cmp_buf) a bv =
-  let rec go i =
-    i < b.n_cmps
-    && ((Array.unsafe_get b.ops_a i = a && Array.unsafe_get b.ops_b i = bv)
-       || go (i + 1))
-  in
-  go 0
-
-type state = {
-  prepared : Vm.Interp.prepared;
-  ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
-  tracer : Tracer.t;  (** engine dispatch + selective-tracing state *)
+(** The queue side of a campaign: what the sequential loop and the
+    sharded coordinator both own and update the same way. [execs] is the
+    campaign-local budget clock; queue entries' [found_at] and triage
+    anchors read it. *)
+type queue_state = {
   cfg : config;
-  feedback : Pathcov.Feedback.t;
+  corpus : Corpus.t;
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
-  corpus : Corpus.t;
   triage : Triage.t;
-  rng : Rng.t;
-  mutable execs : int;  (** this campaign's executions (budget clock) *)
-  mutable blocks : int;
-  mutable havocs : int;
-  mutable sample_every : int;  (** snapshot cadence in executions *)
-  cmp_buf : cmp_buf;  (** per-exec comparison pairs, program order *)
-  scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
       (** counters + snapshots + event sink; may be shared across phases *)
-  h_batch : Obs.Metrics.hist;  (** cohort sizes ([exec.batch_n]) *)
-  h_dirty : Obs.Metrics.hist;  (** context dirty-reset widths *)
+  mutable execs : int;
 }
 
-(* Span brackets on the campaign's track (track 0): plain begin/end on
-   the preallocated ring when the observer carries a trace, nothing
-   otherwise. Observation-only — never consults RNG or feedback state. *)
-let trace_begin (st : state) (k : Obs.Trace.kind) : unit =
-  match st.obs.trace with
+let make_queue_state (obs : Obs.Observer.t) (cfg : config) : queue_state =
+  {
+    cfg;
+    corpus = Corpus.create ();
+    virgin = Pathcov.Coverage_map.create_virgin ~size_log2:cfg.map_size_log2 ();
+    crash_virgin =
+      Pathcov.Coverage_map.create_virgin ~size_log2:cfg.map_size_log2 ();
+    triage = Triage.create ~obs ();
+    obs;
+    execs = 0;
+  }
+
+(* Coordinator spans on track 0 of the observer's trace. Observation-only
+   — never consults RNG or feedback state. *)
+let co_span_begin (q : queue_state) (k : Obs.Trace.kind) : unit =
+  match q.obs.trace with
   | Some tr -> Obs.Trace.begin_span tr ~track:0 k
   | None -> ()
 
-let trace_end ?(arg = 0) (st : state) : unit =
-  match st.obs.trace with
+let co_span_end ?(arg = 0) (q : queue_state) : unit =
+  match q.obs.trace with
   | Some tr -> Obs.Trace.end_span ~arg tr ~track:0 ()
   | None -> ()
-
-(* The instrumentation hook set installed in the context at state-creation
-   time. The cmplog probe (and its per-exec buffer bookkeeping) exists
-   only when the config asks for it. *)
-let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
-    Vm.Interp.hooks =
-  {
-    Vm.Interp.h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-    h_cmp =
-      (if cfg.cmplog then (fun a b ->
-         if a <> b && cmp_buf.n_cmps < cmp_capacity && not (cmp_seen cmp_buf a b)
-         then begin
-           Array.unsafe_set cmp_buf.ops_a cmp_buf.n_cmps a;
-           Array.unsafe_set cmp_buf.ops_b cmp_buf.n_cmps b;
-           cmp_buf.n_cmps <- cmp_buf.n_cmps + 1
-         end)
-       else fun _ _ -> ());
-  }
 
 (* One periodic stats row: the counter block plus the two facts only the
    campaign can see (queue size, virgin residual). The residual scan is
    word-wise over the virgin map — cheap at snapshot cadence. *)
-let take_snapshot (st : state) : unit =
-  Obs.Observer.snapshot st.obs
-    (Obs.Snapshot.of_counters st.obs.counters
-       ~queue:(Corpus.size st.corpus)
-       ~virgin_residual:(Pathcov.Coverage_map.residual st.virgin))
+let take_snapshot (q : queue_state) : unit =
+  Obs.Observer.snapshot q.obs
+    (Obs.Snapshot.of_counters q.obs.counters
+       ~queue:(Corpus.size q.corpus)
+       ~virgin_residual:(Pathcov.Coverage_map.residual q.virgin))
 
-(* Pre/post brackets around one VM run, shared by the string path and
-   the scratch-buffer fast path. The trace map is left classified for
-   novelty checks. *)
-let pre_exec (st : state) : unit =
-  st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
-  if st.cfg.cmplog then st.cmp_buf.n_cmps <- 0
-
-let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
-  st.execs <- st.execs + 1;
-  st.blocks <- st.blocks + out.blocks_executed;
-  let c = st.obs.counters in
-  c.execs <- c.execs + 1;
-  c.blocks <- c.blocks + out.blocks_executed;
-  Obs.Metrics.observe st.h_dirty st.ctx.last_reset_width;
-  Pathcov.Coverage_map.classify st.feedback.trace;
-  if st.execs mod st.sample_every = 0 then take_snapshot st
-
-(* Run one input with full instrumentation through the selected engine. *)
-let run_full (st : state) (input : string) : Vm.Interp.outcome =
-  match st.obs.clock with
-  | None ->
-      Tracer.run_full st.tracer st.ctx ~fuel:st.cfg.fuel
-        ~max_depth:st.cfg.max_depth ~input
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~input
-      in
-      let c = st.obs.counters in
-      c.vm_s <- c.vm_s +. (now () -. t0);
-      out
-
-let run_full_scratch (st : state) : Vm.Interp.outcome =
-  let sc = st.scratch in
-  match st.obs.clock with
-  | None ->
-      Tracer.run_full_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-        ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-      in
-      let c = st.obs.counters in
-      c.vm_s <- c.vm_s +. (now () -. t0);
-      out
-
-(* Run one input. *)
-let execute (st : state) (input : string) : Vm.Interp.outcome =
-  pre_exec st;
-  let out = run_full st input in
-  post_exec st out;
-  out
-
-(* Run the candidate sitting in the mutation scratch, zero-copy. *)
-let execute_scratch (st : state) : Vm.Interp.outcome =
-  pre_exec st;
-  let out = run_full_scratch st in
-  post_exec st out;
-  out
-
-(* Selective-tracing bulk run: the near-null signal specialisation. The
-   exec/block clocks advance exactly as for a fully-traced run — outcomes
-   (and [blocks_executed]) are engine- and spec-invariant — so budget
-   accounting, snapshot cadence and checkpoint marks are untouched by
-   selective mode. The trace map stays cleared (pre_exec) and classify
-   over an empty journal is a no-op. *)
-let execute_signal_scratch (st : state) : Vm.Interp.outcome =
-  pre_exec st;
-  let sc = st.scratch in
-  let out =
-    match st.obs.clock with
-    | None ->
-        Tracer.run_signal_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_signal_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-            ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-        in
-        let c = st.obs.counters in
-        c.vm_s <- c.vm_s +. (now () -. t0);
-        out
-  in
-  post_exec st out;
-  out
-
-(* String-input twin of [execute_signal_scratch]. *)
-let execute_signal (st : state) (input : string) : Vm.Interp.outcome =
-  pre_exec st;
-  let out =
-    match st.obs.clock with
-    | None ->
-        Tracer.run_signal st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~input
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_signal st.tracer st.ctx ~fuel:st.cfg.fuel
-            ~max_depth:st.cfg.max_depth ~input
-        in
-        let c = st.obs.counters in
-        c.vm_s <- c.vm_s +. (now () -. t0);
-        out
-  in
-  post_exec st out;
-  out
-
-(* Full-instrumentation replay after a signal run (or after a pruned
-   calibration crash): rebuilds the classified trace for merge/triage.
-   Counted as a replay, not an execution — the budget clock already
-   ticked for the first run of the same candidate. *)
-let reexec_full_scratch (st : state) : Vm.Interp.outcome =
-  trace_begin st Obs.Trace.Replay;
-  st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
-  let out = run_full_scratch st in
-  Pathcov.Coverage_map.classify st.feedback.trace;
-  let c = st.obs.counters in
-  c.replays <- c.replays + 1;
-  trace_end st;
-  out
-
-let reexec_full (st : state) (input : string) : Vm.Interp.outcome =
-  trace_begin st Obs.Trace.Replay;
-  st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
-  let out = run_full st input in
-  Pathcov.Coverage_map.classify st.feedback.trace;
-  let c = st.obs.counters in
-  c.replays <- c.replays + 1;
-  trace_end st;
-  out
-
-(** Both substitution directions per captured pair, in capture order —
-    shared by the sequential calibration path and sharded work items. *)
-let cmps_of_buf (b : cmp_buf) : Mutator.cmp_pair array =
-  Array.init (2 * b.n_cmps) (fun k ->
-      let i = k lsr 1 in
-      if k land 1 = 0 then
-        { Mutator.observed = b.ops_a.(i); wanted = b.ops_b.(i) }
-      else { Mutator.observed = b.ops_b.(i); wanted = b.ops_a.(i) })
-
-let current_cmps (st : state) : Mutator.cmp_pair array = cmps_of_buf st.cmp_buf
-
-(* Incremental update_bitmap_score (afl's on-retention half, now owned by
-   Corpus so the sharded merge scheduler shares it verbatim). *)
-let update_top_rated (st : state) (e : Corpus.entry) =
-  Corpus.claim_top_rated st.corpus e
-
-(* Crash/hang bookkeeping shared by every execution site — seed import,
-   queue-entry calibration and mutated candidates all triage the same way,
-   so no outcome can be dropped on the floor. Counter bumps and Crash/Hang
-   events ride on the triage record (see Triage). *)
-let triage_outcome (st : state) (out : Vm.Interp.outcome) ~(input : string) : unit =
-  match out.status with
-  | Vm.Interp.Crashed crash ->
-      trace_begin st Obs.Trace.Triage;
-      let coverage_novel =
-        Pathcov.Coverage_map.merge_into ~virgin:st.crash_virgin st.feedback.trace
-        <> Pathcov.Coverage_map.Nothing
-      in
-      Triage.record_crash st.triage ~crash ~input ~at_exec:st.execs ~coverage_novel;
-      trace_end st
-  | Vm.Interp.Hung ->
-      trace_begin st Obs.Trace.Triage;
-      Triage.record_hang ~at_exec:st.execs st.triage;
-      trace_end st
-  | Vm.Interp.Finished _ -> ()
+(* Cycle start: full favored recomputation (afl's cull_queue) and the
+   Favored_cycle event. *)
+let start_cycle (q : queue_state) ~(at_exec : int) : unit =
+  let c = q.obs.counters in
+  Corpus.recompute_favored q.corpus;
+  c.cycles <- c.cycles + 1;
+  let fav = ref 0 in
+  Corpus.iter (fun e -> if e.favored then incr fav) q.corpus;
+  c.favored <- !fav;
+  c.pending_favored <- q.corpus.pending_favored;
+  Obs.Observer.event q.obs
+    (Obs.Event.Favored_cycle
+       {
+         at_exec;
+         queue = Corpus.size q.corpus;
+         favored = !fav;
+         pending = q.corpus.pending_favored;
+       })
 
 (* Queue-capacity bookkeeping for one evaluated finished exec. The
    capacity check precedes the virgin merge (and, under selective
    tracing, precedes marking a signal seen): a full queue must not mark
    coverage as seen without retaining an input reaching it, or that
    coverage becomes unreachable for the whole run. *)
-let queue_full (st : state) : bool =
-  Corpus.size st.corpus >= st.cfg.max_queue
+let queue_full (q : queue_state) ~(at_exec : int) : bool =
+  Corpus.size q.corpus >= q.cfg.max_queue
   && begin
        (* drop counted per evaluated exec; the event fires once per
           campaign (branching on a counter never feeds back into fuzzing
           decisions) *)
-       let c = st.obs.counters in
+       let c = q.obs.counters in
        c.queue_full_drops <- c.queue_full_drops + 1;
        if c.queue_full_drops = 1 then
-         Obs.Observer.event st.obs
-           (Obs.Event.Queue_full
-              { at_exec = c.execs; queue = Corpus.size st.corpus });
+         Obs.Observer.event q.obs
+           (Obs.Event.Queue_full { at_exec; queue = Corpus.size q.corpus });
        true
      end
 
-(* Coverage-novelty verdict for the execution just finished. *)
-let novel (st : state) : bool =
-  (not (queue_full st))
-  && Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
-     <> Pathcov.Coverage_map.Nothing
-
-let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
-    =
-  let indices = Pathcov.Coverage_map.sorted_indices st.feedback.trace in
-  let e =
-    Corpus.add st.corpus ~data ~indices
-      ~exec_blocks:(max 1 out.blocks_executed) ~depth ~found_at:st.execs
-  in
-  update_top_rated st e;
-  let c = st.obs.counters in
+(* Retention of an admitted candidate: the queue entry, its incremental
+   top-rated claims (afl's update_bitmap_score) and the Retain event. *)
+let admit (q : queue_state) ~(data : string) ~(indices : int array)
+    ~(exec_blocks : int) ~(depth : int) ~(found_at : int) ~(at_exec : int) :
+    unit =
+  let e = Corpus.add q.corpus ~data ~indices ~exec_blocks ~depth ~found_at in
+  Corpus.claim_top_rated q.corpus e;
+  let c = q.obs.counters in
   c.retained <- c.retained + 1;
-  Obs.Observer.event st.obs
-    (Obs.Event.Retain
-       { at_exec = c.execs; id = e.id; len = String.length data; depth })
+  Obs.Observer.event q.obs
+    (Obs.Event.Retain { at_exec; id = e.id; len = String.length data; depth })
 
-(* Evaluate one candidate input end to end: execute, triage crashes and
-   hangs, retain on coverage novelty. Under selective tracing, the same
-   decision procedure as [process_selective_scratch] below. *)
-let process (st : state) ~depth (input : string) : unit =
-  if st.cfg.selective then begin
-    let out = execute_signal st input in
-    match out.status with
-    | Vm.Interp.Crashed _ ->
-        let out = reexec_full st input in
-        triage_outcome st out ~input
-    | Vm.Interp.Hung -> triage_outcome st out ~input
-    | Vm.Interp.Finished _ ->
-        let s = Tracer.last_signal st.tracer in
-        if not (Tracer.seen_signal st.tracer s) then
-          if not (queue_full st) then begin
-            let out = reexec_full st input in
-            if
-              Pathcov.Coverage_map.merge_into ~virgin:st.virgin
-                st.feedback.trace
-              <> Pathcov.Coverage_map.Nothing
-            then retain st ~depth out input;
-            Tracer.mark_seen st.tracer s
-          end
-  end
-  else
-    let out = execute st input in
-    match out.status with
-    | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input
-    | Vm.Interp.Finished _ -> if novel st then retain st ~depth out input
+(* Crash/hang bookkeeping over the classified trace [ex] just produced —
+   seed import, queue-entry calibration and mutated candidates all triage
+   the same way, so no outcome can be dropped on the floor. Counter bumps
+   and Crash/Hang events ride on the triage record (see Triage). *)
+let triage_outcome (q : queue_state) (ex : Executor.t) (out : Vm.Interp.outcome)
+    ~(input : string) : unit =
+  match out.status with
+  | Vm.Interp.Crashed crash ->
+      Executor.span_begin ex Obs.Trace.Triage;
+      let coverage_novel =
+        Pathcov.Coverage_map.merge_into ~virgin:q.crash_virgin ex.feedback.trace
+        <> Pathcov.Coverage_map.Nothing
+      in
+      Triage.record_crash q.triage ~crash ~input ~at_exec:q.execs ~coverage_novel;
+      Executor.span_end ex
+  | Vm.Interp.Hung ->
+      Executor.span_begin ex Obs.Trace.Triage;
+      Triage.record_hang ~at_exec:q.execs q.triage;
+      Executor.span_end ex
+  | Vm.Interp.Finished _ -> ()
 
-(* Hot-path variant of [process]: the candidate lives in the mutation
-   scratch and its string is materialised only when triage or retention
-   actually needs one — the common (boring) candidate allocates nothing
-   beyond the VM's own requests. *)
-let scratch_child (st : state) : string =
-  Bytes.sub_string st.scratch.buf 0 st.scratch.len
+(* Seeds are always retained (afl imports the full seed directory):
+   the verdict on one executed seed, merging straight into the virgin
+   map. *)
+let seed_outcome (q : queue_state) (ex : Executor.t) (out : Vm.Interp.outcome)
+    ~(at_exec : int) (input : string) : unit =
+  match out.status with
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome q ex out ~input
+  | Vm.Interp.Finished _ ->
+      ignore
+        (Pathcov.Coverage_map.merge_into ~virgin:q.virgin ex.feedback.trace);
+      let c = q.obs.counters in
+      c.seeds_imported <- c.seeds_imported + 1;
+      Obs.Observer.event q.obs
+        (Obs.Event.Seed_import { at_exec; len = String.length input });
+      admit q ~data:input
+        ~indices:(Pathcov.Coverage_map.sorted_indices ex.feedback.trace)
+        ~exec_blocks:(max 1 out.blocks_executed) ~depth:0 ~found_at:q.execs
+        ~at_exec
 
-(* Selective evaluation of the scratch candidate: one signal-specialised
-   run, then a full-instrumentation replay only when the trace can
-   matter. Decision-identical to [process_scratch] without selective
+let import_seeds (q : queue_state) ~(add : string -> unit) (seeds : string list)
+    : unit =
+  List.iter add seeds;
+  (* Never start with an empty queue: synthesise a minimal seed. *)
+  if Corpus.size q.corpus = 0 then add "A";
+  if Corpus.size q.corpus = 0 then
+    (* even "A" crashes; fall back to an entry with no coverage *)
+    ignore
+      (Corpus.add q.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
+         ~found_at:q.execs)
+
+(* A snapshot of the queue side plus the loop's own [progress] cursor,
+   under the identity record ([sync_interval = 0] marks the sequential
+   loop). *)
+let capture (q : queue_state) ~(subject : string) ~(fuzzer : string)
+    ~(sync_interval : int) ~(progress : Checkpoint.progress) : Checkpoint.t =
+  Checkpoint.capture
+    ~id:
+      {
+        Checkpoint.subject;
+        fuzzer;
+        mode = Pathcov.Feedback.mode_name q.cfg.mode;
+        cmplog = q.cfg.cmplog;
+        rng_seed = q.cfg.rng_seed;
+        budget = q.cfg.budget;
+        fuel = q.cfg.fuel;
+        max_depth = q.cfg.max_depth;
+        map_size_log2 = q.cfg.map_size_log2;
+        max_queue = q.cfg.max_queue;
+        sync_interval;
+      }
+    ~progress ~virgin:q.virgin ~crash_virgin:q.crash_virgin ~corpus:q.corpus
+    ~triage:q.triage ~counters:q.obs.counters
+    ~snapshots:(Obs.Observer.snapshots q.obs)
+
+(* Boundary checkpointing for either loop: at each boundary (a cycle
+   start, or a merge barrier) that crosses the next multiple of
+   [sink.every] executions with budget left, write a [capture] through
+   the sink inside a Checkpoint span. The schedule is a pure function of
+   the exec clock (Checkpoint.next_mark), so straight and resumed runs
+   write the same remaining snapshots at the same boundaries. *)
+let checkpointer (q : queue_state) (checkpoint : Checkpoint.sink option)
+    ~(sync_interval : int) ~(progress : unit -> Checkpoint.progress) :
+    unit -> unit =
+  match checkpoint with
+  | None -> ignore
+  | Some sk ->
+      let next = ref (Checkpoint.next_mark ~every:sk.every ~execs:q.execs) in
+      fun () ->
+        if q.execs < q.cfg.budget && q.execs >= !next then begin
+          co_span_begin q Obs.Trace.Checkpoint;
+          sk.save
+            (capture q ~subject:sk.subject ~fuzzer:sk.fuzzer ~sync_interval
+               ~progress:(progress ()));
+          co_span_end q;
+          next := Checkpoint.next_mark ~every:sk.every ~execs:q.execs
+        end
+
+(* The queue-side half of a restore: queue, triage, both virgin maps, the
+   budget clock, the counter block and the recorded snapshot rows
+   (preloaded without sink emission). Config validation is the caller's
+   job ({!Checkpoint.check_compat}); only the map size — which would make
+   the blit fault — is re-checked here. *)
+let restore_queue_state (q : queue_state) (ck : Checkpoint.t) : unit =
+  if ck.Checkpoint.id.map_size_log2 <> q.cfg.map_size_log2 then
+    invalid_arg "restore_checkpoint: map size disagrees with config";
+  Checkpoint.restore_corpus_into ck q.corpus;
+  Checkpoint.restore_triage_into ck q.triage;
+  Pathcov.Coverage_map.restore_raw q.virgin ck.Checkpoint.virgin;
+  Pathcov.Coverage_map.restore_raw q.crash_virgin ck.Checkpoint.crash_virgin;
+  q.execs <- ck.Checkpoint.progress.execs;
+  Obs.Counters.add_into ~into:q.obs.counters ck.Checkpoint.counters;
+  Obs.Observer.preload_snapshots q.obs (Array.to_list ck.Checkpoint.snapshots)
+
+(* The observer's state at a run's entry. A shared observer (culling
+   rounds, the opportunistic driver, benches) accumulates globally while
+   each run reports its own share as deltas against its mark. *)
+type mark = { at : Obs.Counters.t; snap_base : int }
+
+let mark (obs : Obs.Observer.t) : mark =
+  let at = Obs.Counters.create () in
+  Obs.Counters.add_into ~into:at obs.counters;
+  { at; snap_base = obs.n_snapshots }
+
+(* A finished run's report over its own slice of the observer. *)
+let result_of (q : queue_state) (m : mark) ~(blocks : int) ~(havocs : int) :
+    result =
+  let c = q.obs.counters in
+  let snapshots = Obs.Observer.snapshots_from q.obs ~from:m.snap_base in
+  {
+    config = q.cfg;
+    corpus = q.corpus;
+    triage = q.triage;
+    execs = q.execs;
+    (* derived view over this run's snapshot rows, in the historical
+       (campaign-local execs, queue size) shape *)
+    queue_series =
+      List.map
+        (fun (r : Obs.Snapshot.row) -> (r.at_exec - m.at.execs, r.queue))
+        snapshots;
+    sum_exec_blocks = blocks;
+    havocs;
+    snapshots;
+    vm_s = c.vm_s -. m.at.vm_s;
+    mut_s = c.mut_s -. m.at.mut_s;
+    mut_minor_words = c.mut_minor_words -. m.at.mut_minor_words;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The sequential loop *)
+
+type state = {
+  q : queue_state;
+  ex : Executor.t;  (** on the observer's counters, registry and track 0 *)
+  rng : Rng.t;
+  mutable blocks : int;
+  mutable havocs : int;
+  mutable sample_every : int;  (** snapshot cadence in executions *)
+}
+
+(* The campaign-side half of post-exec: the budget clock and the snapshot
+   cadence, after {!Executor.post_exec}. *)
+let tick (st : state) (out : Vm.Interp.outcome) : unit =
+  st.q.execs <- st.q.execs + 1;
+  st.blocks <- st.blocks + out.blocks_executed;
+  if st.q.execs mod st.sample_every = 0 then take_snapshot st.q
+
+(* Run one input (under the signal specialisation when [signal]). *)
+let exec_input (st : state) ~signal (input : string) : Vm.Interp.outcome =
+  let out = Executor.exec st.ex ~signal input in
+  tick st out;
+  out
+
+let execute st input = exec_input st ~signal:false input
+
+(* Observer-global exec count, the anchor of every event. *)
+let at_exec (st : state) : int = st.q.obs.counters.execs
+
+(* Retention on coverage novelty: merge the (replayed) classified trace
+   into the virgin map and admit the candidate if it added anything. *)
+let retain_if_novel (st : state) ~depth (out : Vm.Interp.outcome)
+    ~(input : unit -> string) : unit =
+  let trace = st.ex.feedback.trace in
+  if
+    Pathcov.Coverage_map.merge_into ~virgin:st.q.virgin trace
+    <> Pathcov.Coverage_map.Nothing
+  then
+    admit st.q ~data:(input ())
+      ~indices:(Pathcov.Coverage_map.sorted_indices trace)
+      ~exec_blocks:(max 1 out.blocks_executed) ~depth ~found_at:st.q.execs
+      ~at_exec:(at_exec st)
+
+(* Selective evaluation of one candidate run: the signal-specialised run
+   already happened, and a full-instrumentation replay follows only when
+   the trace can matter. Decision-identical to [decide] without selective
    tracing (DESIGN §12):
    - a crash always replays — crash triage reads the trace for the
      crash-virgin merge, whose saturation is independent of the virgin
@@ -420,64 +365,49 @@ let scratch_child (st : state) : string =
      virgin monotonicity: skipping it is invisible;
    - a first-seen signal replays, merges, retains on novelty, and only
      then enters the seen set. The queue-capacity check fires first and
-     suppresses the marking, exactly as [novel] suppresses the merge. *)
-(* The decision procedures proper, over the outcome of a run that
-   already went through [post_exec] — shared by the per-candidate
-   [process_*_scratch] wrappers and the batched cohort loop in [run]
-   (whose sinks feed them directly). *)
-let decide_selective_scratch (st : state) ~depth (out : Vm.Interp.outcome) :
-    unit =
+     suppresses the marking, exactly as it suppresses [decide]'s merge.
+   [replay] re-runs the candidate (a string or the scratch); [input]
+   materialises it for triage and retention. Both are shared by
+   {!process} and the batched cohort loop in [run], whose sinks feed
+   them directly. *)
+let decide_selective (st : state) ~depth ~(replay : unit -> Vm.Interp.outcome)
+    ~(input : unit -> string) (out : Vm.Interp.outcome) : unit =
   match out.status with
   | Vm.Interp.Crashed _ ->
-      let out = reexec_full_scratch st in
-      triage_outcome st out ~input:(scratch_child st)
-  | Vm.Interp.Hung -> triage_outcome st out ~input:(scratch_child st)
+      let out = replay () in
+      triage_outcome st.q st.ex out ~input:(input ())
+  | Vm.Interp.Hung -> triage_outcome st.q st.ex out ~input:(input ())
   | Vm.Interp.Finished _ ->
-      let s = Tracer.last_signal st.tracer in
-      if not (Tracer.seen_signal st.tracer s) then
-        if not (queue_full st) then begin
-          let out = reexec_full_scratch st in
-          if
-            Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
-            <> Pathcov.Coverage_map.Nothing
-          then retain st ~depth out (scratch_child st);
-          Tracer.mark_seen st.tracer s
+      let s = Tracer.last_signal st.ex.tracer in
+      if not (Tracer.seen_signal st.ex.tracer s) then
+        if not (queue_full st.q ~at_exec:(at_exec st)) then begin
+          retain_if_novel st ~depth (replay ()) ~input;
+          Tracer.mark_seen st.ex.tracer s
         end
 
-let decide_scratch (st : state) ~depth (out : Vm.Interp.outcome) : unit =
+let decide (st : state) ~depth ~(input : unit -> string)
+    (out : Vm.Interp.outcome) : unit =
   match out.status with
   | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
-      triage_outcome st out ~input:(scratch_child st)
+      triage_outcome st.q st.ex out ~input:(input ())
   | Vm.Interp.Finished _ ->
-      if novel st then retain st ~depth out (scratch_child st)
+      if not (queue_full st.q ~at_exec:(at_exec st)) then
+        retain_if_novel st ~depth out ~input
 
-(* Per-candidate wrappers over the decision procedures — the batched
-   cohort loop in [run] is the hot path; these remain for one-off
-   evaluation sites and tests driving single stages. *)
-let process_selective_scratch (st : state) ~depth : unit =
-  let out = execute_signal_scratch st in
-  decide_selective_scratch st ~depth out
+(* Evaluate one candidate input end to end: execute, triage crashes and
+   hangs, retain on coverage novelty. *)
+let process (st : state) ~depth (input : string) : unit =
+  let out = exec_input st ~signal:st.q.cfg.selective input in
+  if st.q.cfg.selective then
+    decide_selective st ~depth
+      ~replay:(fun () -> Executor.replay st.ex input)
+      ~input:(fun () -> input)
+      out
+  else decide st ~depth ~input:(fun () -> input) out
 
-let process_scratch (st : state) ~depth : unit =
-  if st.cfg.selective then process_selective_scratch st ~depth
-  else begin
-    let out = execute_scratch st in
-    decide_scratch st ~depth out
-  end
-
-(* Seeds are always retained (afl imports the full seed directory). *)
 let add_seed (st : state) (input : string) : unit =
   let out = execute st input in
-  match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input
-  | Vm.Interp.Finished _ ->
-      ignore
-        (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace);
-      let c = st.obs.counters in
-      c.seeds_imported <- c.seeds_imported + 1;
-      Obs.Observer.event st.obs
-        (Obs.Event.Seed_import { at_exec = c.execs; len = String.length input });
-      retain st ~depth:0 out input
+  seed_outcome st.q st.ex out ~at_exec:(at_exec st) input
 
 (** One calibration run of a queue entry, capturing cmplog operand pairs
     for input-to-state mutation (the colorization stage of AFL++). The
@@ -492,30 +422,32 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
      Retention and crash triage read [sorted_indices], so the marks come
      off before anything else executes, and a crash under pruning is
      replayed unpruned before its crash-virgin merge. *)
-  trace_begin st Obs.Trace.Calibrate;
+  let ex = st.ex in
+  Executor.span_begin ex Obs.Trace.Calibrate;
   let prune =
-    Tracer.pruning_available st.tracer
+    Tracer.pruning_available ex.tracer
     &&
-    (Tracer.refresh_pruning st.tracer ~virgin:st.virgin;
-     Tracer.pruned_fids st.tracer > 0)
+    (Tracer.refresh_pruning ex.tracer ~virgin:st.q.virgin;
+     Tracer.pruned_fids ex.tracer > 0)
   in
-  if prune then Tracer.set_pruning st.tracer true;
+  if prune then Tracer.set_pruning ex.tracer true;
   let out = execute st e.data in
-  if prune then Tracer.set_pruning st.tracer false;
+  if prune then Tracer.set_pruning ex.tracer false;
   (match out.status with
   | Vm.Interp.Crashed _ ->
-      let out = if prune then reexec_full st e.data else out in
-      triage_outcome st out ~input:e.data
-  | Vm.Interp.Hung -> triage_outcome st out ~input:e.data
+      let out = if prune then Executor.replay ex e.data else out in
+      triage_outcome st.q ex out ~input:e.data
+  | Vm.Interp.Hung -> triage_outcome st.q ex out ~input:e.data
   | Vm.Interp.Finished _ ->
-      ignore (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace));
-  let c = st.obs.counters in
+      ignore
+        (Pathcov.Coverage_map.merge_into ~virgin:st.q.virgin ex.feedback.trace));
+  let c = ex.counters in
   c.calibrations <- c.calibrations + 1;
-  Obs.Observer.event st.obs
+  Obs.Observer.event st.q.obs
     (Obs.Event.Calibration
-       { at_exec = c.execs; entry = e.id; cmps = st.cmp_buf.n_cmps });
-  trace_end st;
-  current_cmps st
+       { at_exec = c.execs; entry = e.id; cmps = ex.cmp_buf.n_cmps });
+  Executor.span_end ex;
+  Executor.cmps_of_buf ex.cmp_buf
 
 (** afl-fuzz's skip probabilities in fuzz_one, over an explicit RNG and
     queue state — the sequential scheduler draws from the campaign
@@ -527,9 +459,6 @@ let entry_skip (rng : Rng.t) ~(pending_favored : int) (e : Corpus.entry) : bool
   else if e.times_fuzzed > 0 then Rng.chance rng ~num:95 ~den:100
   else Rng.chance rng ~num:75 ~den:100
 
-let should_skip (st : state) (e : Corpus.entry) : bool =
-  entry_skip st.rng ~pending_favored:st.corpus.pending_favored e
-
 (** Havoc energy for one queue entry (a simplified perf_score) — a pure
     function of the entry and the budget, shared with the shard planner. *)
 let entry_energy ~(budget : int) (e : Corpus.entry) : int =
@@ -539,193 +468,56 @@ let entry_energy ~(budget : int) (e : Corpus.entry) : int =
   let base = if e.depth > 4 then base * 5 / 4 else base in
   min base (max 8 (budget / 64))
 
-let energy (st : state) (e : Corpus.entry) : int =
-  entry_energy ~budget:st.cfg.budget e
-
-(* O(1) random splice peer. The RNG draw is mapped to the same entry the
-   List.nth-over-newest-first walk used to select (draw [k] is the [k]-th
-   newest), so campaign trajectories are unchanged. *)
-let random_other (st : state) (e : Corpus.entry) : string option =
-  let n = Corpus.size st.corpus in
-  if n <= 1 then None
-  else
-    let pick = Corpus.get st.corpus (n - 1 - Rng.int st.rng n) in
-    if pick.id = e.id then None else Some pick.data
-
 (** Build a fresh campaign state. Exposed (alongside [execute],
     [add_seed], [process] and [calibrate]) so tests can drive individual
     pipeline stages directly. *)
 let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     : state =
   let obs = match obs with Some o -> o | None -> Obs.Observer.null () in
-  let feedback =
-    Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode prog
+  let ex =
+    Executor.make ?plans ~obs ~track:0 config (Vm.Interp.prepare_cached prog)
+      prog
   in
-  let prepared = Vm.Interp.prepare_cached prog in
-  let cmp_buf = make_cmp_buf () in
-  let hooks = make_hooks config feedback cmp_buf in
-  (match obs.trace with
-  | Some tr -> Obs.Trace.begin_span tr ~track:0 Obs.Trace.Compile
-  | None -> ());
-  let tracer =
-    Tracer.make ?plans ?clock:obs.clock ~engine:config.engine
-      ~selective:config.selective ~cmplog:config.cmplog ~mode:config.mode
-      prepared
-  in
-  (match obs.trace with
-  | Some tr -> Obs.Trace.end_span tr ~track:0 ()
-  | None -> ());
-  (match Tracer.emit_fallback tracer with
-  | Some reason -> Obs.Observer.event obs (Obs.Event.Emit_fallback { reason })
-  | None -> ());
-  Tracer.bind tracer ~trace:feedback.trace ~h_cmp:hooks.Vm.Interp.h_cmp;
+  Executor.report_fallback obs ex;
   {
-    prepared;
-    ctx = Vm.Interp.create_ctx ~hooks prepared;
-    tracer;
-    cfg = config;
-    feedback;
-    virgin = Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
-    crash_virgin =
-      Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
-    corpus = Corpus.create ();
-    triage = Triage.create ~obs ();
+    q = make_queue_state obs config;
+    ex;
     rng = Rng.create config.rng_seed;
-    execs = 0;
     blocks = 0;
     havocs = 0;
     sample_every = max 1 (config.budget / 64);
-    cmp_buf;
-    scratch = Mutator.create_scratch ();
-    obs;
-    h_batch = Obs.Metrics.hist obs.metrics "exec.batch_n";
-    h_dirty = Obs.Metrics.hist obs.metrics "vm.dirty_reset_w";
+  }
+
+(* The sequential cursor is the exec clock alone: the planner slots of
+   [progress] stay zero. *)
+let progress (st : state) : Checkpoint.progress =
+  {
+    Checkpoint.execs = st.q.execs;
+    blocks = st.blocks;
+    havocs = st.havocs;
+    rng_state = Rng.state st.rng;
+    items_total = 0;
+    cycle_len = 0;
+    next_qi = 0;
+    epochs = 0;
+    dup_dropped = 0;
   }
 
 (** The snapshot of a sequential campaign at a cycle boundary, under the
     identity fields carried by the checkpoint sink ([sync_interval = 0]
-    marks the sequential loop). The planner-cursor slots of [progress]
-    are unused here — the whole cursor is the exec clock. *)
+    marks the sequential loop). *)
 let capture_checkpoint (st : state) ~(subject : string) ~(fuzzer : string) :
     Checkpoint.t =
-  Checkpoint.capture
-    ~id:
-      {
-        Checkpoint.subject;
-        fuzzer;
-        mode = Pathcov.Feedback.mode_name st.cfg.mode;
-        cmplog = st.cfg.cmplog;
-        rng_seed = st.cfg.rng_seed;
-        budget = st.cfg.budget;
-        fuel = st.cfg.fuel;
-        max_depth = st.cfg.max_depth;
-        map_size_log2 = st.cfg.map_size_log2;
-        max_queue = st.cfg.max_queue;
-        sync_interval = 0;
-      }
-    ~progress:
-      {
-        Checkpoint.execs = st.execs;
-        blocks = st.blocks;
-        havocs = st.havocs;
-        rng_state = Rng.state st.rng;
-        items_total = 0;
-        cycle_len = 0;
-        next_qi = 0;
-        epochs = 0;
-        dup_dropped = 0;
-      }
-    ~virgin:st.virgin ~crash_virgin:st.crash_virgin ~corpus:st.corpus
-    ~triage:st.triage ~counters:st.obs.counters
-    ~snapshots:(Obs.Observer.snapshots st.obs)
+  capture st.q ~subject ~fuzzer ~sync_interval:0 ~progress:(progress st)
 
-(** Load a cycle-boundary snapshot into freshly built campaign state:
-    queue, triage, both virgin maps, the campaign RNG position, the
-    exec/block/havoc clocks, the counter block and the recorded snapshot
-    rows (preloaded without sink emission). The caller is responsible
-    for config validation ({!Checkpoint.check_compat}); only the map
-    size — which would make the blit fault — is re-checked here. *)
+(** Load a cycle-boundary snapshot into freshly built campaign state: the
+    queue side ({!restore_queue_state}), the campaign RNG position and the
+    block/havoc clocks. *)
 let restore_checkpoint (st : state) (ck : Checkpoint.t) : unit =
-  if ck.Checkpoint.id.map_size_log2 <> st.cfg.map_size_log2 then
-    invalid_arg "Campaign.restore_checkpoint: map size disagrees with config";
-  Checkpoint.restore_corpus_into ck st.corpus;
-  Checkpoint.restore_triage_into ck st.triage;
-  Pathcov.Coverage_map.restore_raw st.virgin ck.Checkpoint.virgin;
-  Pathcov.Coverage_map.restore_raw st.crash_virgin ck.Checkpoint.crash_virgin;
+  restore_queue_state st.q ck;
   Rng.set_state st.rng ck.Checkpoint.progress.rng_state;
-  st.execs <- ck.Checkpoint.progress.execs;
   st.blocks <- ck.Checkpoint.progress.blocks;
-  st.havocs <- ck.Checkpoint.progress.havocs;
-  Obs.Counters.add_into ~into:st.obs.counters ck.Checkpoint.counters;
-  Obs.Observer.preload_snapshots st.obs (Array.to_list ck.Checkpoint.snapshots)
-
-(* One havoc-mutated candidate built into the scratch, counted and (when
-   the observer carries a clock) timed. *)
-let mutate (st : state) ~cmps ?splice_with (data : string) : unit =
-  st.havocs <- st.havocs + 1;
-  let c = st.obs.counters in
-  c.havocs <- c.havocs + 1;
-  (match splice_with with Some _ -> c.splices <- c.splices + 1 | None -> ());
-  if Array.length cmps > 0 then c.i2s_cands <- c.i2s_cands + 1;
-  trace_begin st Obs.Trace.Mutate;
-  (match st.obs.clock with
-  | None -> Mutator.havoc_in_place st.scratch ~cmps ?splice_with st.rng data
-  | Some now ->
-      let w0 = Gc.minor_words () in
-      let t0 = now () in
-      Mutator.havoc_in_place st.scratch ~cmps ?splice_with st.rng data;
-      c.mut_s <- c.mut_s +. (now () -. t0);
-      c.mut_minor_words <- c.mut_minor_words +. (Gc.minor_words () -. w0));
-  trace_end st
-
-(* Drain the engine-level tallies into the observer's metrics registry.
-   Runs once per campaign at budget exhaustion — a deterministic point —
-   so registration order (and hence every dump) is reproducible. Gauges
-   use set semantics: the sources are cumulative (per artifact / per
-   domain), so the latest reading is the total. *)
-let harvest_metrics (st : state) : unit =
-  let m = st.obs.metrics in
-  let c = st.obs.counters in
-  Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.vm_s") c.vm_s;
-  Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.mut_s") c.mut_s;
-  Obs.Metrics.add_wall
-    (Obs.Metrics.wall m "engine.compile_s")
-    (Tracer.compile_seconds st.tracer);
-  let hits, misses = Vm.Compile.cache_stats () in
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m "engine.seen_signals")
-    (Tracer.seen_signals st.tracer);
-  (* Emitter tallies only exist on native campaigns — process-global
-     cumulative sources, so set semantics; gated to keep every other
-     engine's metric dump (and the golden reports) untouched. *)
-  (match st.cfg.engine with
-  | Tracer.Native ->
-      let e = Vm.Emit.stats () in
-      Obs.Metrics.set_wall (Obs.Metrics.wall m "emit.compile_s") e.compile_s;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
-  | Tracer.Interp | Tracer.Compiled | Tracer.Fused -> ());
-  match Tracer.artifact_stats st.tracer with
-  | None -> ()
-  | Some (r, s) ->
-      Obs.Metrics.set (Obs.Metrics.gauge m "engine.rollbacks")
-        r.Vm.Compile.rollbacks;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "engine.careful_units")
-        r.Vm.Compile.careful_units;
-      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Compile.chains;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_blocks")
-        s.Vm.Compile.chain_blocks;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_max")
-        s.Vm.Compile.chain_max;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.dup_instrs")
-        s.Vm.Compile.dup_instrs
+  st.havocs <- ck.Checkpoint.progress.havocs
 
 (** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
     [obs] supplies the observer (counters, snapshot log, event sink and
@@ -743,129 +535,67 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
     ?(resume : Checkpoint.t option) (prog : Minic.Ir.program)
     ~(seeds : string list) : result =
   let st = make_state ?plans ?obs ~config prog in
-  let c = st.obs.counters in
-  (* deltas vs the observer's state at entry: a shared observer (culling
-     rounds, the opportunistic driver, benches) accumulates globally
-     while each run reports its own share *)
-  let exec_base = c.execs in
-  let snap_base = st.obs.n_snapshots in
-  let vm_s0 = c.vm_s and mut_s0 = c.mut_s in
-  let mut_minor_words0 = c.mut_minor_words in
+  let q = st.q and ex = st.ex in
+  let c = q.obs.counters in
+  let m = mark q.obs in
   (match resume with
   | Some ck -> restore_checkpoint st ck
-  | None ->
-      List.iter (add_seed st) seeds;
-      (* Never start with an empty queue: synthesise a minimal seed. *)
-      if Corpus.size st.corpus = 0 then add_seed st "A";
-      if Corpus.size st.corpus = 0 then
-        (* even "A" crashes; fall back to an entry with no coverage *)
-        ignore
-          (Corpus.add st.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
-             ~found_at:st.execs));
-  (* The snapshot schedule is a pure function of the exec clock
-     (Checkpoint.next_mark), so straight and resumed runs write the same
-     remaining snapshots at the same boundaries. *)
-  let next_mark = ref max_int in
-  (match checkpoint with
-  | Some sk -> next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
-  | None -> ());
-  while st.execs < config.budget do
-    (match checkpoint with
-    | Some sk when st.execs >= !next_mark ->
-        trace_begin st Obs.Trace.Checkpoint;
-        sk.save (capture_checkpoint st ~subject:sk.subject ~fuzzer:sk.fuzzer);
-        trace_end st;
-        next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
-    | _ -> ());
-    Corpus.recompute_favored st.corpus;
-    c.cycles <- c.cycles + 1;
-    let fav = ref 0 in
-    Corpus.iter (fun e -> if e.favored then incr fav) st.corpus;
-    c.favored <- !fav;
-    c.pending_favored <- st.corpus.pending_favored;
-    Obs.Observer.event st.obs
-      (Obs.Event.Favored_cycle
-         {
-           at_exec = c.execs;
-           queue = Corpus.size st.corpus;
-           favored = !fav;
-           pending = st.corpus.pending_favored;
-         });
+  | None -> import_seeds q ~add:(add_seed st) seeds);
+  let checkpoint =
+    checkpointer q checkpoint ~sync_interval:0 ~progress:(fun () -> progress st)
+  in
+  (* the scratch candidate's replay and string, shared by every cohort *)
+  let replay () = Executor.replay_scratch ex in
+  let input () = Executor.scratch_child ex in
+  while q.execs < config.budget do
+    checkpoint ();
+    start_cycle q ~at_exec:c.execs;
     (* index-preserving snapshot: entries are append-only, so the queue
        length bounds this cycle's pass and entries found mid-cycle wait
        for the next one — exactly the semantics of the old list copy *)
-    let cycle_len = Corpus.size st.corpus in
+    let cycle_len = Corpus.size q.corpus in
     for qi = 0 to cycle_len - 1 do
-      let e = Corpus.get st.corpus qi in
-      if st.execs < config.budget && not (should_skip st e) then begin
+      let e = Corpus.get q.corpus qi in
+      if
+        q.execs < config.budget
+        && not (entry_skip st.rng ~pending_favored:q.corpus.pending_favored e)
+      then begin
         let cmps = if config.cmplog then calibrate st e else [||] in
-        let n = energy st e in
+        let n = entry_energy ~budget:config.budget e in
         (* Batched cohort: the whole energy allotment runs back-to-back
            through one [Tracer.run_*_batch] call. Each candidate ticks
            the budget clock exactly once (replays don't), so the cohort
            size is exactly what the per-candidate loop would have run;
            generation, post-exec accounting and the retain/triage
            decisions are the same code in the same order. *)
-        let count = max 0 (min n (config.budget - st.execs)) in
+        let count = max 0 (min n (config.budget - q.execs)) in
         if count > 0 then begin
           let depth = e.depth + 1 in
-          Obs.Metrics.observe st.h_batch count;
-          trace_begin st Obs.Trace.Exec;
           let gen _ =
-            mutate st ~cmps ?splice_with:(random_other st e) e.data;
-            pre_exec st;
-            (st.scratch.buf, st.scratch.len)
+            st.havocs <- st.havocs + 1;
+            Executor.candidate ex st.rng ~cmps
+              ?splice_with:
+                (Executor.splice_peer st.rng q.corpus.arr
+                   ~n:(Corpus.size q.corpus) e)
+              e.data
           in
-          let clock = st.obs.clock in
-          let vm_s =
-            match clock with
-            | None -> None
-            | Some _ ->
-                Some
-                  (fun dt ->
-                    let c = st.obs.counters in
-                    c.vm_s <- c.vm_s +. dt)
-          in
-          if config.selective then
-            Tracer.run_signal_batch ?clock ?vm_s st.tracer st.ctx
-              ~fuel:config.fuel ~max_depth:config.max_depth ~n:count ~gen
-              ~sink:(fun _ out ->
-                post_exec st out;
-                decide_selective_scratch st ~depth out)
-          else
-            Tracer.run_full_batch ?clock ?vm_s st.tracer st.ctx
-              ~fuel:config.fuel ~max_depth:config.max_depth ~n:count ~gen
-              ~sink:(fun _ out ->
-                post_exec st out;
-                decide_scratch st ~depth out);
-          trace_end ~arg:count st
+          Executor.cohort ex ~n:count ~gen
+            ~sink:
+              (if config.selective then fun _ out ->
+                 Executor.post_exec ex out;
+                 tick st out;
+                 decide_selective st ~depth ~replay ~input out
+               else fun _ out ->
+                 Executor.post_exec ex out;
+                 tick st out;
+                 decide st ~depth ~input out)
         end;
-        e.times_fuzzed <- e.times_fuzzed + 1;
-        if e.favored && e.times_fuzzed = 1 then
-          st.corpus.pending_favored <- max 0 (st.corpus.pending_favored - 1)
+        Corpus.mark_fuzzed q.corpus e
       end
     done
   done;
   (* final snapshot row: budget exhausted (kept even when it duplicates a
      cadence row, matching the historical queue_series tail sample) *)
-  take_snapshot st;
-  harvest_metrics st;
-  let snapshots = Obs.Observer.snapshots_from st.obs ~from:snap_base in
-  {
-    config;
-    corpus = st.corpus;
-    triage = st.triage;
-    execs = st.execs;
-    (* derived view over this run's snapshot rows, in the historical
-       (campaign-local execs, queue size) shape *)
-    queue_series =
-      List.map
-        (fun (r : Obs.Snapshot.row) -> (r.at_exec - exec_base, r.queue))
-        snapshots;
-    sum_exec_blocks = st.blocks;
-    havocs = st.havocs;
-    snapshots;
-    vm_s = c.vm_s -. vm_s0;
-    mut_s = c.mut_s -. mut_s0;
-    mut_minor_words = c.mut_minor_words -. mut_minor_words0;
-  }
+  take_snapshot q;
+  Executor.harvest_metrics q.obs.metrics c [| ex |];
+  result_of q m ~blocks:st.blocks ~havocs:st.havocs

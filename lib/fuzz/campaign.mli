@@ -10,23 +10,19 @@
     decision reads observer state), so observed and unobserved runs are
     byte-identical — see DESIGN.md §7. *)
 
-type config = {
+(** Campaign configuration; the fields are documented at
+    {!Executor.config}. *)
+type config = Executor.config = {
   mode : Pathcov.Feedback.mode;
-  budget : int;  (** total target executions *)
+  budget : int;
   rng_seed : int;
-  fuel : int;  (** VM fuel per execution (the timeout analogue) *)
-  max_depth : int;  (** VM call-depth limit per execution *)
+  fuel : int;
+  max_depth : int;
   map_size_log2 : int;
-  cmplog : bool;  (** comparison-operand capture + I2S mutations *)
-  max_queue : int;  (** hard safety bound on queue growth *)
+  cmplog : bool;
+  max_queue : int;
   engine : Tracer.engine;
-      (** execution engine — interpreter or staged compilation; the
-          trajectory is engine-invariant (test-enforced differentially) *)
   selective : bool;
-      (** selective tracing: bulk executions run a near-null novelty-
-          signal specialisation and re-execute fully only on first-seen
-          signals; decisions are byte-identical to always-on tracing
-          (DESIGN §12) *)
 }
 
 val default_config : config
@@ -81,10 +77,8 @@ val run :
     directly (e.g. triaging a calibration crash on an entry that was
     parked in the queue without a clean execution). *)
 
-(** Per-exec comparison-operand capture: flat, insertion-ordered,
-    deduplicated, bounded — pairs reach the mutator in program order
-    rather than [Hashtbl.fold] order. *)
-type cmp_buf = {
+(** Per-exec comparison-operand capture ({!Executor.cmp_buf}). *)
+type cmp_buf = Executor.cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
@@ -108,34 +102,99 @@ val entry_skip : Rng.t -> pending_favored:int -> Corpus.entry -> bool
     function of the entry and the budget. *)
 val entry_energy : budget:int -> Corpus.entry -> int
 
-(** Live campaign state. Fields are exposed read-mostly for tests and
-    diagnostics; mutate only through the stage functions below. The
-    state owns a pooled {!Vm.Interp.exec_ctx} with the instrumentation
-    hooks preinstalled, so every stage executes allocation-free. *)
-type state = {
-  prepared : Vm.Interp.prepared;
-  ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
-  tracer : Tracer.t;  (** engine dispatch + selective-tracing state *)
+(** {2 Queue-side bookkeeping}
+
+    The queue side of a campaign is owned and updated the same way by the
+    sequential loop and the sharded coordinator ({!Shard}); these are its
+    only writers. Event anchors ([at_exec]) are passed in: the sequential
+    loop reads the observer's exec counter, the coordinator its own
+    schedule position. *)
+
+type queue_state = {
   cfg : config;
-  feedback : Pathcov.Feedback.t;
+  corpus : Corpus.t;
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
-  corpus : Corpus.t;
   triage : Triage.t;
+  obs : Obs.Observer.t;
+      (** counters + snapshots + event sink; may be shared across phases *)
+  mutable execs : int;
+      (** campaign-local exec clock (the budget); entries' [found_at] and
+          triage anchors read it *)
+}
+
+val make_queue_state : Obs.Observer.t -> config -> queue_state
+
+(** Span brackets on track 0, the coordinator's track. *)
+val co_span_begin : queue_state -> Obs.Trace.kind -> unit
+
+val co_span_end : ?arg:int -> queue_state -> unit
+
+(** Append one stats row (counters, queue size, virgin residual). *)
+val take_snapshot : queue_state -> unit
+
+(** Cycle start: favored recomputation, counters, [Favored_cycle]. *)
+val start_cycle : queue_state -> at_exec:int -> unit
+
+(** [true] when the queue is at capacity, counting the drop (and emitting
+    [Queue_full] on the first). Checked before any virgin merge. *)
+val queue_full : queue_state -> at_exec:int -> bool
+
+(** Retain an admitted candidate: entry, top-rated claims, [Retain]. *)
+val admit :
+  queue_state ->
+  data:string ->
+  indices:int array ->
+  exec_blocks:int ->
+  depth:int ->
+  found_at:int ->
+  at_exec:int ->
+  unit
+
+(** The verdict on one seed just run on the executor: crashes and hangs
+    triaged, anything else merged and retained unconditionally. *)
+val seed_outcome :
+  queue_state -> Executor.t -> Vm.Interp.outcome -> at_exec:int -> string -> unit
+
+(** Import seeds through [add], then never leave the queue empty. *)
+val import_seeds : queue_state -> add:(string -> unit) -> string list -> unit
+
+(** The boundary hook of a checkpointed run: writes a snapshot (queue
+    side plus [progress ()]) whenever a boundary crosses the sink's
+    schedule with budget left; a no-op without a sink. Build it after
+    seed import or restore. *)
+val checkpointer :
+  queue_state ->
+  Checkpoint.sink option ->
+  sync_interval:int ->
+  progress:(unit -> Checkpoint.progress) ->
+  unit ->
+  unit
+
+(** The queue-side half of a restore (queue, triage, virgin maps, budget
+    clock, counters, snapshot rows); only the map size is re-checked. *)
+val restore_queue_state : queue_state -> Checkpoint.t -> unit
+
+(** The observer's state at a run's entry; a run reports deltas. *)
+type mark = { at : Obs.Counters.t; snap_base : int }
+
+val mark : Obs.Observer.t -> mark
+
+(** A finished run's report over its slice of the observer. *)
+val result_of : queue_state -> mark -> blocks:int -> havocs:int -> result
+
+(** Live campaign state. Fields are exposed read-mostly for tests and
+    diagnostics; mutate only through the stage functions below. The
+    executor owns a pooled {!Vm.Interp.exec_ctx} with the
+    instrumentation hooks preinstalled, so every stage executes
+    allocation-free. *)
+type state = {
+  q : queue_state;
+  ex : Executor.t;  (** on the observer's counters, registry and track 0 *)
   rng : Rng.t;
-  mutable execs : int;  (** this campaign's executions (budget clock) *)
   mutable blocks : int;
   mutable havocs : int;
   mutable sample_every : int;  (** snapshot cadence in executions *)
-  cmp_buf : cmp_buf;  (** per-exec comparison pairs, program order *)
-  scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
-  obs : Obs.Observer.t;
-      (** counters + snapshots + event sink; may be shared across phases *)
-  h_batch : Obs.Metrics.hist;
-      (** cohort-size histogram ([exec.batch_n]), pre-registered in the
-          observer's metrics registry at state creation *)
-  h_dirty : Obs.Metrics.hist;
-      (** context dirty-reset widths ([vm.dirty_reset_w]) *)
 }
 
 (** Build a fresh campaign state. *)
@@ -156,13 +215,6 @@ val add_seed : state -> string -> unit
 (** Evaluate one candidate end to end: execute, triage crashes/hangs,
     retain on coverage novelty if the queue has capacity. *)
 val process : state -> depth:int -> string -> unit
-
-(** Zero-copy twin of {!process} over the candidate sitting in the
-    mutation scratch. The campaign's own havoc loop runs cohorts through
-    [Tracer.run_full_batch]/[run_signal_batch] with the same decision
-    procedure; this per-candidate form serves one-off evaluation sites
-    and stage-level tests. *)
-val process_scratch : state -> depth:int -> unit
 
 (** One calibration run of a queue entry, capturing cmplog operand pairs;
     the outcome is triaged exactly like {!process}'s. *)

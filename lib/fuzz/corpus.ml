@@ -129,6 +129,13 @@ let claim_top_rated (t : t) (e : entry) : unit =
           end)
     e.indices
 
+(** One more fuzzing pass over [e]; a favored entry's first pass clears
+    it from [pending_favored]. *)
+let mark_fuzzed (t : t) (e : entry) : unit =
+  e.times_fuzzed <- e.times_fuzzed + 1;
+  if e.favored && e.times_fuzzed = 1 then
+    t.pending_favored <- max 0 (t.pending_favored - 1)
+
 (* ------------------------------------------------------------------ *)
 (* Shard views *)
 
@@ -142,8 +149,6 @@ type view = { varr : entry array; vsize : int }
 (** Snapshot the first [limit] entries (clamped to the current size). *)
 let view (t : t) ~(limit : int) : view =
   { varr = t.arr; vsize = min (max 0 limit) t.size }
-
-let view_size (v : view) = v.vsize
 
 let view_get (v : view) i =
   if i < 0 || i >= v.vsize then invalid_arg "Corpus.view_get";

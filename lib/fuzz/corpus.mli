@@ -64,6 +64,10 @@ val size : t -> int
     favored refresh stays with {!recompute_favored} at cycle starts. *)
 val claim_top_rated : t -> entry -> unit
 
+(** One more fuzzing pass over an entry (both loops' scheduler step): a
+    favored entry's first pass clears it from [pending_favored]. *)
+val mark_fuzzed : t -> entry -> unit
+
 (** {2 Shard views}
 
     Fixed-length prefix snapshots of the queue, safe to read from worker
@@ -72,12 +76,10 @@ val claim_top_rated : t -> entry -> unit
     never moves a live view. Entries are shared, not copied — shards
     must treat them as read-only. *)
 
-type view
+type view = private { varr : entry array; vsize : int }
 
 (** Snapshot the first [limit] entries (clamped to the current size). *)
 val view : t -> limit:int -> view
-
-val view_size : view -> int
 
 (** The [i]-th entry of the snapshot, O(1); raises on out-of-range. *)
 val view_get : view -> int -> entry

@@ -18,10 +18,9 @@
       measured in executions, independent of wall-clock;
 
     - {b per-shard step loops} (parallel phase): items are assigned
-      round-robin (item [i] to shard [i mod shards]); each shard owns a
-      private {!Vm.Interp.exec_ctx}, feedback listener, cmplog buffer and
-      mutation scratch, and evaluates its items against a private virgin
-      overlay re-seeded per item from the epoch-start global map
+      round-robin (item [i] to shard [i mod shards]); each shard owns an
+      {!Executor.t} on private counters, and evaluates its items against a
+      private virgin overlay re-seeded per item from the epoch-start map
       ({!Pathcov.Coverage_map.copy_into}) — so what an item retains
       depends only on the epoch-start state and its own discoveries,
       never on what ran concurrently. Retained candidates and crashes are
@@ -101,169 +100,49 @@ type item_result = {
 (* ------------------------------------------------------------------ *)
 (* Shards *)
 
-(** One shard's private execution resources, created once per campaign
-    and reused across every epoch. The counter block is bumped lock-free
-    on the shard's own domain and drained into the campaign observer at
-    each barrier. *)
+(** One shard: an executor on a private counter block, metrics registry
+    and trace track [shard index + 1], created once per campaign and
+    reused across every epoch. The private blocks are bumped lock-free on
+    the shard's own domain and drained into the campaign observer at each
+    barrier. *)
 type shard = {
-  ctx : Vm.Interp.exec_ctx;
-  tracer : Tracer.t;  (** engine dispatch + per-shard seen-signal set *)
-  feedback : Pathcov.Feedback.t;
-  cmp_buf : Campaign.cmp_buf;
-  scratch : Mutator.scratch;
+  ex : Executor.t;  (** per-shard compiled artifacts and seen-signal set *)
   item_virgin : Pathcov.Coverage_map.t;  (** per-item overlay of the global map *)
-  counters : Obs.Counters.t;
-  clock : (unit -> float) option;
-  metrics : Obs.Metrics.t;
-      (** shard-private registry, drained into the campaign observer's at
-          each barrier (exactly like the counter block) *)
-  h_batch : Obs.Metrics.hist;  (** cohort sizes ([exec.batch_n]) *)
-  h_dirty : Obs.Metrics.hist;  (** context dirty-reset widths *)
-  span_trace : Obs.Trace.t option;
-      (** the observer's trace when it has a track for this shard *)
-  track : int;  (** this shard's trace track ([shard index + 1]) *)
   mutable epoch_wall : float;  (** wall of this shard's last epoch slice *)
 }
 
-let make_shard ?plans (base : Campaign.config) prepared clock span_trace
+let make_shard ?plans (obs : Obs.Observer.t) (base : Campaign.config) prepared
     ~(track : int) prog : shard =
-  let feedback =
-    Pathcov.Feedback.make ~size_log2:base.map_size_log2 ?plans base.mode prog
-  in
-  let cmp_buf = Campaign.make_cmp_buf () in
-  let hooks = Campaign.make_hooks base feedback cmp_buf in
-  (* ~shared:false: compiled artifacts carry single-threaded rebindable
-     state, so every shard compiles its own *)
-  let tracer =
-    Tracer.make ?plans ?clock ~shared:false ~engine:base.engine
-      ~selective:base.selective ~cmplog:base.cmplog ~mode:base.mode prepared
-  in
-  Tracer.bind tracer ~trace:feedback.trace ~h_cmp:hooks.Vm.Interp.h_cmp;
-  let metrics = Obs.Metrics.create () in
   {
-    ctx = Vm.Interp.create_ctx ~hooks prepared;
-    tracer;
-    feedback;
-    cmp_buf;
-    scratch = Mutator.create_scratch ();
+    ex =
+      Executor.make ?plans ~shared:false ~counters:(Obs.Counters.create ())
+        ~metrics:(Obs.Metrics.create ()) ~obs ~track base prepared prog;
     item_virgin =
       Pathcov.Coverage_map.create_virgin ~size_log2:base.map_size_log2 ();
-    counters = Obs.Counters.create ();
-    clock;
-    metrics;
-    h_batch = Obs.Metrics.hist metrics "exec.batch_n";
-    h_dirty = Obs.Metrics.hist metrics "vm.dirty_reset_w";
-    span_trace =
-      (match span_trace with
-      | Some tr when track < Obs.Trace.n_tracks tr -> Some tr
-      | _ -> None);
-    track;
     epoch_wall = 0.;
   }
 
-(* Span brackets on this shard's own trace track. Each track is written
-   only by the domain running the shard's slice, so no locking. *)
-let sh_trace_begin (sh : shard) (k : Obs.Trace.kind) : unit =
-  match sh.span_trace with
-  | Some tr -> Obs.Trace.begin_span tr ~track:sh.track k
-  | None -> ()
-
-let sh_trace_end ?(arg = 0) (sh : shard) : unit =
-  match sh.span_trace with
-  | Some tr -> Obs.Trace.end_span ~arg tr ~track:sh.track ()
-  | None -> ()
-
-(* Pre/post brackets around one VM run on a shard — the parallel twin of
-   Campaign.pre_exec/post_exec, writing only shard-private state. *)
-let sh_pre (base : Campaign.config) (sh : shard) : unit =
-  sh.feedback.reset ();
-  Pathcov.Coverage_map.clear sh.feedback.trace;
-  if base.cmplog then sh.cmp_buf.n_cmps <- 0
-
-let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
-  let c = sh.counters in
-  c.execs <- c.execs + 1;
-  c.blocks <- c.blocks + out.blocks_executed;
-  Obs.Metrics.observe sh.h_dirty sh.ctx.last_reset_width;
-  Pathcov.Coverage_map.classify sh.feedback.trace
-
-let sh_run_full_scratch (base : Campaign.config) (sh : shard) :
-    Vm.Interp.outcome =
-  let sc = sh.scratch in
-  match sh.clock with
-  | None ->
-      Tracer.run_full_sub sh.tracer sh.ctx ~fuel:base.fuel
-        ~max_depth:base.max_depth ~buf:sc.buf ~len:sc.len
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full_sub sh.tracer sh.ctx ~fuel:base.fuel
-          ~max_depth:base.max_depth ~buf:sc.buf ~len:sc.len
-      in
-      sh.counters.vm_s <- sh.counters.vm_s +. (now () -. t0);
-      out
-
-let sh_exec (base : Campaign.config) (sh : shard) (input : string) :
-    Vm.Interp.outcome =
-  sh_pre base sh;
-  let out =
-    match sh.clock with
-    | None ->
-        Tracer.run_full sh.tracer sh.ctx ~fuel:base.fuel
-          ~max_depth:base.max_depth ~input
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_full sh.tracer sh.ctx ~fuel:base.fuel
-            ~max_depth:base.max_depth ~input
-        in
-        sh.counters.vm_s <- sh.counters.vm_s +. (now () -. t0);
-        out
-  in
-  sh_post sh out;
-  out
-
-(* The per-candidate scratch executions are batched in run_item below
-   ([Tracer.run_full_batch]/[run_signal_batch]); only the replay path
-   keeps a one-shot scratch runner. *)
-let sh_reexec_scratch (base : Campaign.config) (sh : shard) : Vm.Interp.outcome
-    =
-  sh_trace_begin sh Obs.Trace.Replay;
-  sh.feedback.reset ();
-  Pathcov.Coverage_map.clear sh.feedback.trace;
-  let out = sh_run_full_scratch base sh in
-  Pathcov.Coverage_map.classify sh.feedback.trace;
-  sh.counters.replays <- sh.counters.replays + 1;
-  sh_trace_end sh;
-  out
-
-let scratch_child (sh : shard) : string =
-  Bytes.sub_string sh.scratch.buf 0 sh.scratch.len
-
-(* O(1) random splice peer over the epoch-start queue snapshot — the
-   same draw-to-entry mapping as Campaign.random_other, against the view
-   so every shard sees the same corpus regardless of merge-time growth. *)
-let random_other_view (rng : Rng.t) (view : Corpus.view) (e : Corpus.entry) :
-    string option =
-  let n = Corpus.view_size view in
-  if n <= 1 then None
-  else
-    let pick = Corpus.view_get view (n - 1 - Rng.int rng n) in
-    if pick.Corpus.id = e.Corpus.id then None else Some pick.Corpus.data
+(* Fold a shard's private counter block and registry into the observer's
+   and clear them — race-free only while the shard's domain is parked. *)
+let drain (obs : Obs.Observer.t) (sh : shard) : unit =
+  Obs.Counters.add_into ~into:obs.counters sh.ex.counters;
+  Obs.Counters.reset sh.ex.counters;
+  Obs.Metrics.add_into ~into:obs.metrics sh.ex.metrics;
+  Obs.Metrics.reset sh.ex.metrics
 
 (** The per-shard step loop: evaluate one work item end to end against a
     private virgin overlay, recording retentions/crashes/hangs as sparse
     captures for the merge barrier. Touches only shard-private state
     plus read-only views of the epoch-start corpus and virgin map. *)
-let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
+let run_item (sh : shard) (view : Corpus.view)
     (global_virgin : Pathcov.Coverage_map.t) (it : item) : item_result =
+  let ex = sh.ex in
   let e = Corpus.view_get view it.entry_idx in
   Pathcov.Coverage_map.copy_into ~dst:sh.item_virgin global_virgin;
   let res = { execs = 0; n_cmps = 0; retained = []; crashes = []; hangs = [] } in
-  let local = ref 0 in
   let capture_outcome (out : Vm.Interp.outcome) ~(input : unit -> string)
       ~(depth : int) : unit =
-    let tr = sh.feedback.trace in
+    let tr = ex.feedback.trace in
     match out.status with
     | Vm.Interp.Crashed crash ->
         let idxs = Pathcov.Coverage_map.sorted_indices tr in
@@ -271,12 +150,12 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
           {
             c_crash = crash;
             c_input = input ();
-            c_at_exec = it.base_exec + !local;
+            c_at_exec = it.base_exec + res.execs;
             c_idxs = idxs;
             c_vals = Pathcov.Coverage_map.values_at tr idxs;
           }
           :: res.crashes
-    | Vm.Interp.Hung -> res.hangs <- (it.base_exec + !local) :: res.hangs
+    | Vm.Interp.Hung -> res.hangs <- (it.base_exec + res.execs) :: res.hangs
     | Vm.Interp.Finished _ ->
         if
           Pathcov.Coverage_map.merge_into ~virgin:sh.item_virgin tr
@@ -290,133 +169,90 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
               r_vals = Pathcov.Coverage_map.values_at tr idxs;
               r_exec_blocks = max 1 out.blocks_executed;
               r_depth = depth;
-              r_at_exec = it.base_exec + !local;
+              r_at_exec = it.base_exec + res.execs;
             }
             :: res.retained
   in
   (* calibration run: capture cmplog pairs; its coverage never counts as
      novel (the entry is already in the queue), mirroring the sequential
-     calibrate stage *)
+     calibrate stage — crashes and hangs are captured for triage, but a
+     finished run only merges into the overlay *)
   let cmps =
     if it.calib then begin
-      let out = sh_exec base sh e.Corpus.data in
-      incr local;
+      Executor.span_begin ex Obs.Trace.Calibrate;
+      let out = Executor.exec ex ~signal:false e.Corpus.data in
+      res.execs <- res.execs + 1;
       (match out.status with
-      | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
-          (* rewind the retention check: calibration outcomes are triaged
-             but never retained *)
-          let tr = sh.feedback.trace in
-          (match out.status with
-          | Vm.Interp.Crashed crash ->
-              let idxs = Pathcov.Coverage_map.sorted_indices tr in
-              res.crashes <-
-                {
-                  c_crash = crash;
-                  c_input = e.Corpus.data;
-                  c_at_exec = it.base_exec + !local;
-                  c_idxs = idxs;
-                  c_vals = Pathcov.Coverage_map.values_at tr idxs;
-                }
-                :: res.crashes
-          | _ -> res.hangs <- (it.base_exec + !local) :: res.hangs)
       | Vm.Interp.Finished _ ->
           ignore
             (Pathcov.Coverage_map.merge_into ~virgin:sh.item_virgin
-               sh.feedback.trace));
-      sh.counters.calibrations <- sh.counters.calibrations + 1;
-      res.n_cmps <- sh.cmp_buf.n_cmps;
-      Campaign.cmps_of_buf sh.cmp_buf
+               ex.feedback.trace)
+      | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
+          capture_outcome out ~input:(fun () -> e.Corpus.data) ~depth:0);
+      ex.counters.calibrations <- ex.counters.calibrations + 1;
+      res.n_cmps <- ex.cmp_buf.n_cmps;
+      Executor.span_end ex;
+      Executor.cmps_of_buf ex.cmp_buf
     end
     else [||]
   in
-  let c = sh.counters in
   (* Batched cohort: the item's whole energy allotment runs back-to-back
-     through one [Tracer.run_*_batch] call — generation (splice draw,
-     counter bumps, timed mutation, pre-exec reset) moves into [gen],
-     the per-candidate bookkeeping and capture into [sink], in exactly
-     the per-iteration order of the former loop. Replays don't go
-     through the batch, so [local] ticks once per candidate as before. *)
+     through one [Executor.cohort] call — the splice draw over the
+     epoch-start view (so every shard sees the same corpus regardless of
+     merge-time growth) and the timed mutation in [gen], the
+     per-candidate bookkeeping and capture in [sink]. Replays don't go
+     through the batch, so [res.execs] ticks once per candidate. *)
+  let depth = e.Corpus.depth + 1 in
+  let input () = Executor.scratch_child ex in
   let gen _ =
-    let splice_with = random_other_view it.rng view e in
-    c.havocs <- c.havocs + 1;
-    (match splice_with with Some _ -> c.splices <- c.splices + 1 | None -> ());
-    if Array.length cmps > 0 then c.i2s_cands <- c.i2s_cands + 1;
-    (match sh.clock with
-    | None ->
-        Mutator.havoc_in_place sh.scratch ~cmps ?splice_with it.rng
-          e.Corpus.data
-    | Some now ->
-        let w0 = Gc.minor_words () in
-        let t0 = now () in
-        Mutator.havoc_in_place sh.scratch ~cmps ?splice_with it.rng
-          e.Corpus.data;
-        c.mut_s <- c.mut_s +. (now () -. t0);
-        c.mut_minor_words <- c.mut_minor_words +. (Gc.minor_words () -. w0));
-    sh_pre base sh;
-    (sh.scratch.buf, sh.scratch.len)
+    Executor.candidate ex it.rng ~cmps
+      ?splice_with:
+        (Executor.splice_peer it.rng view.varr ~n:view.vsize e)
+      e.Corpus.data
   in
-  let vm_s =
-    match sh.clock with
-    | None -> None
-    | Some _ -> Some (fun dt -> c.vm_s <- c.vm_s +. dt)
-  in
-  if it.energy > 0 then begin
-    Obs.Metrics.observe sh.h_batch it.energy;
-    sh_trace_begin sh Obs.Trace.Exec
-  end;
-  (if not base.selective then
-     Tracer.run_full_batch ?clock:sh.clock ?vm_s sh.tracer sh.ctx
-       ~fuel:base.fuel ~max_depth:base.max_depth ~n:it.energy ~gen
-       ~sink:(fun _ out ->
-         sh_post sh out;
-         incr local;
-         capture_outcome out
-           ~input:(fun () -> scratch_child sh)
-           ~depth:(e.Corpus.depth + 1))
-   else
-     (* Selective step: signal run first, full replay only when the
-        trace can matter. The seen set persists across items and
-        epochs, so admission is stricter than the sequential rule: a
-        signal is promoted only when its trace is wholly non-novel
-        against the EPOCH-START global map — monotonically non-novel
-        against every later global map and every item overlay seeded
-        from one, making the skip invisible. A capture that is novel
-        only item-locally (or that the barrier later drops, e.g. on a
-        full queue) is not promoted and is re-captured identically by
-        later items — barrier decisions, dup-drop counts and the final
-        trajectory match the always-traced run for every shard count. *)
-     Tracer.run_signal_batch ?clock:sh.clock ?vm_s sh.tracer sh.ctx
-       ~fuel:base.fuel ~max_depth:base.max_depth ~n:it.energy ~gen
-       ~sink:(fun _ out ->
-         sh_post sh out;
-         incr local;
-         match out.status with
-         | Vm.Interp.Crashed _ ->
-             (* crash triage needs the trace (crash-virgin merge at the
-                barrier); crash signals are never marked seen *)
-             let out = sh_reexec_scratch base sh in
-             capture_outcome out
-               ~input:(fun () -> scratch_child sh)
-               ~depth:(e.Corpus.depth + 1)
-         | Vm.Interp.Hung -> res.hangs <- (it.base_exec + !local) :: res.hangs
-         | Vm.Interp.Finished _ ->
-             let s = Tracer.last_signal sh.tracer in
-             if not (Tracer.seen_signal sh.tracer s) then begin
-               let out = sh_reexec_scratch base sh in
-               capture_outcome out
-                 ~input:(fun () -> scratch_child sh)
-                 ~depth:(e.Corpus.depth + 1);
-               let tr = sh.feedback.trace in
-               let idxs = Pathcov.Coverage_map.sorted_indices tr in
-               let vals = Pathcov.Coverage_map.values_at tr idxs in
-               if
-                 not
-                   (Pathcov.Coverage_map.sparse_would_merge
-                      ~virgin:global_virgin ~idxs ~vals)
-               then Tracer.mark_seen sh.tracer s
-             end));
-  if it.energy > 0 then sh_trace_end ~arg:it.energy sh;
-  res.execs <- !local;
+  if it.energy > 0 then
+    Executor.cohort ex ~n:it.energy ~gen
+      ~sink:
+        (if not ex.cfg.selective then fun _ out ->
+           Executor.post_exec ex out;
+           res.execs <- res.execs + 1;
+           capture_outcome out ~input ~depth
+         else fun _ out ->
+           (* Selective step: signal run first, full replay only when the
+              trace can matter. The seen set persists across items and
+              epochs, so admission is stricter than the sequential rule:
+              a signal is promoted only when its trace is wholly
+              non-novel against the EPOCH-START global map —
+              monotonically non-novel against every later global map and
+              every item overlay seeded from one, making the skip
+              invisible. A capture that is novel only item-locally (or
+              that the barrier later drops, e.g. on a full queue) is not
+              promoted and is re-captured identically by later items —
+              barrier decisions, dup-drop counts and the final trajectory
+              match the always-traced run for every shard count. *)
+           Executor.post_exec ex out;
+           res.execs <- res.execs + 1;
+           match out.status with
+           | Vm.Interp.Crashed _ ->
+               (* crash triage needs the trace (crash-virgin merge at the
+                  barrier); crash signals are never marked seen *)
+               let out = Executor.replay_scratch ex in
+               capture_outcome out ~input ~depth
+           | Vm.Interp.Hung -> res.hangs <- (it.base_exec + res.execs) :: res.hangs
+           | Vm.Interp.Finished _ ->
+               let s = Tracer.last_signal ex.tracer in
+               if not (Tracer.seen_signal ex.tracer s) then begin
+                 let out = Executor.replay_scratch ex in
+                 capture_outcome out ~input ~depth;
+                 let tr = ex.feedback.trace in
+                 let idxs = Pathcov.Coverage_map.sorted_indices tr in
+                 let vals = Pathcov.Coverage_map.values_at tr idxs in
+                 if
+                   not
+                     (Pathcov.Coverage_map.sparse_would_merge
+                        ~virgin:global_virgin ~idxs ~vals)
+                 then Tracer.mark_seen ex.tracer s
+               end);
   res.retained <- List.rev res.retained;
   res.crashes <- List.rev res.crashes;
   res.hangs <- List.rev res.hangs;
@@ -439,13 +275,8 @@ type result = {
 
 type t = {
   cfg : config;
-  obs : Obs.Observer.t;
-  corpus : Corpus.t;
-  virgin : Pathcov.Coverage_map.t;
-  crash_virgin : Pathcov.Coverage_map.t;
-  triage : Triage.t;
+  q : Campaign.queue_state;  (** the queue side, as in the sequential loop *)
   plan_rng : Rng.t;  (** skip-probability draws, planning order *)
-  mutable execs : int;  (** campaign-local exec clock (budget) *)
   mutable items_total : int;  (** global item counter, keys RNG substreams *)
   mutable cycle_len : int;
   mutable next_qi : int;
@@ -461,35 +292,21 @@ type t = {
    loop does so between entries; both orders are deterministic). *)
 let plan_epoch (t : t) : item array =
   let base = t.cfg.base in
-  let c = t.obs.counters in
+  let q = t.q in
   let items = ref [] in
-  let n_items = ref 0 in
   let planned = ref 0 in
-  while !planned < t.cfg.sync_interval && t.execs + !planned < base.budget do
+  while !planned < t.cfg.sync_interval && q.execs + !planned < base.budget do
     if t.next_qi >= t.cycle_len then begin
-      Corpus.recompute_favored t.corpus;
-      c.cycles <- c.cycles + 1;
-      let fav = ref 0 in
-      Corpus.iter (fun e -> if e.Corpus.favored then incr fav) t.corpus;
-      c.favored <- !fav;
-      c.pending_favored <- t.corpus.pending_favored;
-      Obs.Observer.event t.obs
-        (Obs.Event.Favored_cycle
-           {
-             at_exec = t.exec_base + t.execs + !planned;
-             queue = Corpus.size t.corpus;
-             favored = !fav;
-             pending = t.corpus.pending_favored;
-           });
-      t.cycle_len <- Corpus.size t.corpus;
+      Campaign.start_cycle q ~at_exec:(t.exec_base + q.execs + !planned);
+      t.cycle_len <- Corpus.size q.corpus;
       t.next_qi <- 0
     end;
-    let e = Corpus.get t.corpus t.next_qi in
+    let e = Corpus.get q.corpus t.next_qi in
     t.next_qi <- t.next_qi + 1;
-    if not (Campaign.entry_skip t.plan_rng ~pending_favored:t.corpus.pending_favored e)
+    if not (Campaign.entry_skip t.plan_rng ~pending_favored:q.corpus.pending_favored e)
     then begin
       let calib_cost = if base.cmplog then 1 else 0 in
-      let remaining = base.budget - (t.execs + !planned) in
+      let remaining = base.budget - (q.execs + !planned) in
       let energy =
         min (Campaign.entry_energy ~budget:base.budget e)
           (max 0 (remaining - calib_cost))
@@ -501,92 +318,68 @@ let plan_epoch (t : t) : item array =
           rng = Rng.substream ~seed:base.rng_seed (t.items_total + 1);
           calib = base.cmplog;
           energy;
-          base_exec = t.execs + !planned;
+          base_exec = q.execs + !planned;
         }
         :: !items;
       t.items_total <- t.items_total + 1;
-      incr n_items;
       planned := !planned + calib_cost + energy;
-      e.Corpus.times_fuzzed <- e.Corpus.times_fuzzed + 1;
-      if e.Corpus.favored && e.Corpus.times_fuzzed = 1 then
-        t.corpus.pending_favored <- max 0 (t.corpus.pending_favored - 1)
+      Corpus.mark_fuzzed q.corpus e
     end
   done;
-  let arr = Array.of_list (List.rev !items) in
-  arr
+  Array.of_list (List.rev !items)
 
 (* Replay one epoch's item results against the shared state, in global
-   item order — the only place shared campaign state is written. *)
+   item order — the only place shared campaign state is written. This is
+   the sharded decide step: captures are re-checked against the merged
+   virgin map, then admitted through the sequential loop's own
+   bookkeeping. *)
 let merge_epoch (t : t) (items : item array) (results : item_result array) :
     int =
-  let base = t.cfg.base in
-  let c = t.obs.counters in
+  let q = t.q in
   let retained_now = ref 0 in
   Array.iteri
     (fun k (it : item) ->
       let r = results.(k) in
       if it.calib then
-        Obs.Observer.event t.obs
+        Obs.Observer.event q.obs
           (Obs.Event.Calibration
              {
                at_exec = t.exec_base + it.base_exec + 1;
                entry = it.entry_id;
                cmps = r.n_cmps;
              });
+      let triaging = r.crashes <> [] || r.hangs <> [] in
+      if triaging then Campaign.co_span_begin q Obs.Trace.Triage;
       List.iter
         (fun (cr : crash_rec) ->
           let coverage_novel =
-            Pathcov.Coverage_map.merge_sparse_into ~virgin:t.crash_virgin
+            Pathcov.Coverage_map.merge_sparse_into ~virgin:q.crash_virgin
               ~idxs:cr.c_idxs ~vals:cr.c_vals
             <> Pathcov.Coverage_map.Nothing
           in
-          Triage.record_crash t.triage ~crash:cr.c_crash ~input:cr.c_input
+          Triage.record_crash q.triage ~crash:cr.c_crash ~input:cr.c_input
             ~at_exec:cr.c_at_exec ~coverage_novel)
         r.crashes;
-      List.iter (fun at -> Triage.record_hang ~at_exec:at t.triage) r.hangs;
+      List.iter (fun at -> Triage.record_hang ~at_exec:at q.triage) r.hangs;
+      if triaging then Campaign.co_span_end q;
       List.iter
         (fun (rr : retained_rec) ->
-          if Corpus.size t.corpus >= base.max_queue then begin
-            c.queue_full_drops <- c.queue_full_drops + 1;
-            if c.queue_full_drops = 1 then
-              Obs.Observer.event t.obs
-                (Obs.Event.Queue_full
-                   {
-                     at_exec = t.exec_base + rr.r_at_exec;
-                     queue = Corpus.size t.corpus;
-                   })
-          end
-          else if
-            Pathcov.Coverage_map.merge_sparse_into ~virgin:t.virgin
-              ~idxs:rr.r_idxs ~vals:rr.r_vals
-            <> Pathcov.Coverage_map.Nothing
-          then begin
-            let e =
-              Corpus.add t.corpus ~data:rr.r_data ~indices:rr.r_idxs
+          let at_exec = t.exec_base + rr.r_at_exec in
+          if not (Campaign.queue_full q ~at_exec) then
+            if
+              Pathcov.Coverage_map.merge_sparse_into ~virgin:q.virgin
+                ~idxs:rr.r_idxs ~vals:rr.r_vals
+              <> Pathcov.Coverage_map.Nothing
+            then begin
+              Campaign.admit q ~data:rr.r_data ~indices:rr.r_idxs
                 ~exec_blocks:rr.r_exec_blocks ~depth:rr.r_depth
-                ~found_at:rr.r_at_exec
-            in
-            Corpus.claim_top_rated t.corpus e;
-            c.retained <- c.retained + 1;
-            incr retained_now;
-            Obs.Observer.event t.obs
-              (Obs.Event.Retain
-                 {
-                   at_exec = t.exec_base + rr.r_at_exec;
-                   id = e.Corpus.id;
-                   len = String.length rr.r_data;
-                   depth = rr.r_depth;
-                 })
-          end
-          else t.dup_dropped <- t.dup_dropped + 1)
+                ~found_at:rr.r_at_exec ~at_exec;
+              incr retained_now
+            end
+            else t.dup_dropped <- t.dup_dropped + 1)
         r.retained)
     items;
   !retained_now
-
-let take_snapshot (t : t) : unit =
-  Obs.Observer.snapshot t.obs
-    (Obs.Snapshot.of_counters t.obs.counters ~queue:(Corpus.size t.corpus)
-       ~virgin_residual:(Pathcov.Coverage_map.residual t.virgin))
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog *)
@@ -601,142 +394,45 @@ let stall_factor = 4.
     median is zero (unclocked or degenerate epochs never stall). *)
 let stall_check ~(walls : float array) ~(factor : float) :
     (int * float * float) list =
-  let n = Array.length walls in
-  if n < 2 then []
-  else begin
-    let sorted = Array.copy walls in
-    Array.sort compare sorted;
-    let median =
-      if n land 1 = 1 then sorted.(n / 2)
-      else 0.5 *. (sorted.((n / 2) - 1) +. sorted.(n / 2))
-    in
-    if median <= 0. then []
-    else begin
-      let out = ref [] in
-      for s = n - 1 downto 0 do
-        if walls.(s) > factor *. median then
-          out := (s, walls.(s), median) :: !out
-      done;
-      !out
-    end
-  end
+  let median = Stats.median_float (Array.to_list walls) in
+  if Array.length walls < 2 || median <= 0. then []
+  else
+    List.filter
+      (fun (_, w, _) -> w > factor *. median)
+      (List.mapi (fun s w -> (s, w, median)) (Array.to_list walls))
 
-(* Coordinator-side span brackets on track 0 (planning, merge barriers,
-   checkpoint writes). *)
-let co_trace_begin (obs : Obs.Observer.t) (k : Obs.Trace.kind) : unit =
-  match obs.trace with
-  | Some tr -> Obs.Trace.begin_span tr ~track:0 k
-  | None -> ()
+(* The planner cursor and the shard-summed clocks. Barriers are the
+   only capture points: between them shard-private state is in flight,
+   but at a barrier the entire campaign is the queue side plus this
+   cursor — and both are pure functions of [(seed, sync_interval)], so
+   checkpoints are too, independent of shard and worker count. Per-item
+   RNG streams need no capture: they are substreams keyed by
+   [items_total]. *)
+let progress (t : t) : Checkpoint.progress =
+  let c = t.q.obs.counters in
+  {
+    Checkpoint.execs = t.q.execs;
+    blocks = c.blocks;
+    havocs = c.havocs;
+    rng_state = Rng.state t.plan_rng;
+    items_total = t.items_total;
+    cycle_len = t.cycle_len;
+    next_qi = t.next_qi;
+    epochs = t.epochs;
+    dup_dropped = t.dup_dropped;
+  }
 
-let co_trace_end ?(arg = 0) (obs : Obs.Observer.t) : unit =
-  match obs.trace with
-  | Some tr -> Obs.Trace.end_span ~arg tr ~track:0 ()
-  | None -> ()
-
-(** Snapshot the sharded campaign at a merge barrier. Barriers are the
-    only capture points: between them shard-private state is in flight,
-    but at a barrier the entire campaign is the shared state below plus
-    the planner cursor — and both are pure functions of
-    [(seed, sync_interval)], so checkpoints are too, independent of
-    shard and worker count. Per-item RNG streams need no capture: they
-    are substreams keyed by [items_total]. *)
-let capture_checkpoint (t : t) ~(subject : string) ~(fuzzer : string) :
-    Checkpoint.t =
-  let base = t.cfg.base in
-  let c = t.obs.counters in
-  Checkpoint.capture
-    ~id:
-      {
-        Checkpoint.subject;
-        fuzzer;
-        mode = Pathcov.Feedback.mode_name base.mode;
-        cmplog = base.cmplog;
-        rng_seed = base.rng_seed;
-        budget = base.budget;
-        fuel = base.fuel;
-        max_depth = base.max_depth;
-        map_size_log2 = base.map_size_log2;
-        max_queue = base.max_queue;
-        sync_interval = t.cfg.sync_interval;
-      }
-    ~progress:
-      {
-        Checkpoint.execs = t.execs;
-        blocks = c.blocks;
-        havocs = c.havocs;
-        rng_state = Rng.state t.plan_rng;
-        items_total = t.items_total;
-        cycle_len = t.cycle_len;
-        next_qi = t.next_qi;
-        epochs = t.epochs;
-        dup_dropped = t.dup_dropped;
-      }
-    ~virgin:t.virgin ~crash_virgin:t.crash_virgin ~corpus:t.corpus
-    ~triage:t.triage ~counters:c
-    ~snapshots:(Obs.Observer.snapshots t.obs)
-
-(** Load a barrier snapshot into a freshly built coordinator: shared
-    state (queue with favored/top-rated machinery, triage, virgin maps),
-    the planner cursor and its RNG position, the counter block and the
-    recorded snapshot rows. Config validation is the caller's job
-    ({!Checkpoint.check_compat}); only the map size is re-checked. *)
+(* Load a barrier snapshot into a freshly built coordinator: the queue
+   side, then the planner cursor and its RNG position. *)
 let restore_checkpoint (t : t) (ck : Checkpoint.t) : unit =
-  if ck.Checkpoint.id.map_size_log2 <> t.cfg.base.map_size_log2 then
-    invalid_arg "Shard.restore_checkpoint: map size disagrees with config";
-  Checkpoint.restore_corpus_into ck t.corpus;
-  Checkpoint.restore_triage_into ck t.triage;
-  Pathcov.Coverage_map.restore_raw t.virgin ck.Checkpoint.virgin;
-  Pathcov.Coverage_map.restore_raw t.crash_virgin ck.Checkpoint.crash_virgin;
-  Rng.set_state t.plan_rng ck.Checkpoint.progress.rng_state;
-  t.execs <- ck.Checkpoint.progress.execs;
-  t.items_total <- ck.Checkpoint.progress.items_total;
-  t.cycle_len <- ck.Checkpoint.progress.cycle_len;
-  t.next_qi <- ck.Checkpoint.progress.next_qi;
-  t.epochs <- ck.Checkpoint.progress.epochs;
-  t.dup_dropped <- ck.Checkpoint.progress.dup_dropped;
-  Obs.Counters.add_into ~into:t.obs.counters ck.Checkpoint.counters;
-  Obs.Observer.preload_snapshots t.obs (Array.to_list ck.Checkpoint.snapshots)
-
-(* Seed import on shard 0's resources, before any parallel phase — the
-   sequential add_seed semantics: seeds always retained, crashes/hangs
-   triaged, coverage merged into the shared virgin map directly. *)
-let import_seed (t : t) (sh : shard) (input : string) : unit =
-  let base = t.cfg.base in
-  let out = sh_exec base sh input in
-  t.execs <- t.execs + 1;
-  let c = t.obs.counters in
-  match out.status with
-  | Vm.Interp.Crashed crash ->
-      let coverage_novel =
-        Pathcov.Coverage_map.merge_into ~virgin:t.crash_virgin
-          sh.feedback.trace
-        <> Pathcov.Coverage_map.Nothing
-      in
-      Triage.record_crash t.triage ~crash ~input ~at_exec:t.execs
-        ~coverage_novel
-  | Vm.Interp.Hung -> Triage.record_hang ~at_exec:t.execs t.triage
-  | Vm.Interp.Finished _ ->
-      ignore
-        (Pathcov.Coverage_map.merge_into ~virgin:t.virgin sh.feedback.trace);
-      c.seeds_imported <- c.seeds_imported + 1;
-      Obs.Observer.event t.obs
-        (Obs.Event.Seed_import
-           { at_exec = t.exec_base + t.execs; len = String.length input });
-      let indices = Pathcov.Coverage_map.sorted_indices sh.feedback.trace in
-      let e =
-        Corpus.add t.corpus ~data:input ~indices
-          ~exec_blocks:(max 1 out.blocks_executed) ~depth:0 ~found_at:t.execs
-      in
-      Corpus.claim_top_rated t.corpus e;
-      c.retained <- c.retained + 1;
-      Obs.Observer.event t.obs
-        (Obs.Event.Retain
-           {
-             at_exec = t.exec_base + t.execs;
-             id = e.Corpus.id;
-             len = String.length input;
-             depth = 0;
-           })
+  Campaign.restore_queue_state t.q ck;
+  let p = ck.Checkpoint.progress in
+  Rng.set_state t.plan_rng p.rng_state;
+  t.items_total <- p.items_total;
+  t.cycle_len <- p.cycle_len;
+  t.next_qi <- p.next_qi;
+  t.epochs <- p.epochs;
+  t.dup_dropped <- p.dup_dropped
 
 (** Run one sharded campaign. [workers] caps the domain-pool width (the
     default runs one worker per shard; any value yields byte-identical
@@ -764,31 +460,18 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
   let prepared = Vm.Interp.prepare_cached prog in
   let shards =
     Array.init cfg.shards (fun s ->
-        make_shard ?plans base prepared obs.clock obs.trace ~track:(s + 1) prog)
+        make_shard ?plans obs base prepared ~track:(s + 1) prog)
   in
   (* Emission fails identically for every shard (same cache key), so one
      event stands for the fleet. *)
-  (match Tracer.emit_fallback shards.(0).tracer with
-  | Some reason -> Obs.Observer.event obs (Obs.Event.Emit_fallback { reason })
-  | None -> ());
-  let c = obs.counters in
-  let exec_base = c.execs in
-  let snap_base = obs.n_snapshots in
-  let vm_s0 = c.vm_s and mut_s0 = c.mut_s in
-  let mut_minor_words0 = c.mut_minor_words in
-  let blocks0 = c.blocks and havocs0 = c.havocs in
+  Executor.report_fallback obs shards.(0).ex;
+  let m = Campaign.mark obs in
+  let exec_base = m.at.execs in
   let t =
     {
       cfg;
-      obs;
-      corpus = Corpus.create ();
-      virgin =
-        Pathcov.Coverage_map.create_virgin ~size_log2:base.map_size_log2 ();
-      crash_virgin =
-        Pathcov.Coverage_map.create_virgin ~size_log2:base.map_size_log2 ();
-      triage = Triage.create ~obs ();
+      q = Campaign.make_queue_state obs base;
       plan_rng = Rng.substream ~seed:base.rng_seed 0;
-      execs = 0;
       items_total = 0;
       cycle_len = 0;
       next_qi = 0;
@@ -797,27 +480,28 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
       exec_base;
     }
   in
+  let q = t.q in
   (match resume with
   | Some ck -> restore_checkpoint t ck
   | None ->
-      List.iter (import_seed t shards.(0)) seeds;
-      if Corpus.size t.corpus = 0 then import_seed t shards.(0) "A";
-      if Corpus.size t.corpus = 0 then
-        ignore
-          (Corpus.add t.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
-             ~found_at:t.execs);
+      (* seed import on shard 0's executor, before any parallel phase,
+         with the sequential verdict: seeds always retained, crashes and
+         hangs triaged, coverage merged into the shared virgin map *)
+      let ex = shards.(0).ex in
+      Campaign.import_seeds q seeds ~add:(fun input ->
+          let out = Executor.exec ex ~signal:false input in
+          q.execs <- q.execs + 1;
+          Campaign.seed_outcome q ex out ~at_exec:(exec_base + q.execs) input);
       (* drain seed-import execution counts out of shard 0's block so the
          observer is current before the first barrier *)
-      Obs.Counters.add_into ~into:c shards.(0).counters;
-      Obs.Counters.reset shards.(0).counters;
-      Obs.Metrics.add_into ~into:obs.metrics shards.(0).metrics;
-      Obs.Metrics.reset shards.(0).metrics);
-  (* snapshot schedule: a pure function of the exec clock, identical for
-     straight and resumed runs *)
-  let next_mark = ref max_int in
-  (match checkpoint with
-  | Some sk -> next_mark := Checkpoint.next_mark ~every:sk.every ~execs:t.execs
-  | None -> ());
+      drain obs shards.(0));
+  (* barrier-aligned checkpoints, mid-budget only: resuming the final
+     state would be a no-op and the written file should always have
+     budget left to replay *)
+  let checkpoint =
+    Campaign.checkpointer q checkpoint ~sync_interval:cfg.sync_interval
+      ~progress:(fun () -> progress t)
+  in
   let workers =
     min cfg.shards (match workers with Some w -> max 1 w | None -> cfg.shards)
   in
@@ -826,27 +510,28 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
     ~finally:(fun () ->
       match pool with Some p -> Exec.Pool.shutdown p | None -> ())
     (fun () ->
-      while t.execs < base.budget do
-        co_trace_begin obs Obs.Trace.Plan;
+      while q.execs < base.budget do
+        Campaign.co_span_begin q Obs.Trace.Plan;
         let items = plan_epoch t in
         let n = Array.length items in
-        co_trace_end ~arg:n obs;
+        Campaign.co_span_end ~arg:n q;
         let results = Array.make n None in
-        let view = Corpus.view t.corpus ~limit:(Corpus.size t.corpus) in
+        let view = Corpus.view q.corpus ~limit:(Corpus.size q.corpus) in
         let slice s ~worker:_ =
           let sh = shards.(s) in
-          let t0 = match sh.clock with Some now -> now () | None -> 0. in
-          sh_trace_begin sh Obs.Trace.Epoch;
+          let clock = sh.ex.clock in
+          let t0 = match clock with Some now -> now () | None -> 0. in
+          Executor.span_begin sh.ex Obs.Trace.Epoch;
           let mine = ref 0 in
           let k = ref s in
           while !k < n do
-            results.(!k) <- Some (run_item base sh view t.virgin items.(!k));
+            results.(!k) <- Some (run_item sh view q.virgin items.(!k));
             incr mine;
             k := !k + cfg.shards
           done;
-          sh_trace_end ~arg:!mine sh;
+          Executor.span_end ~arg:!mine sh.ex;
           sh.epoch_wall <-
-            (match sh.clock with Some now -> now () -. t0 | None -> 0.)
+            (match clock with Some now -> now () -. t0 | None -> 0.)
         in
         (match pool with
         | Some p -> Exec.Pool.run_phase p cfg.shards slice
@@ -862,17 +547,11 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
         in
         (* barrier: the shard domains are parked (run_phase returned), so
            draining their private counter/metric blocks is race-free *)
-        Array.iter
-          (fun sh ->
-            Obs.Counters.add_into ~into:c sh.counters;
-            Obs.Counters.reset sh.counters;
-            Obs.Metrics.add_into ~into:obs.metrics sh.metrics;
-            Obs.Metrics.reset sh.metrics)
-          shards;
-        co_trace_begin obs Obs.Trace.Merge;
+        Array.iter (drain obs) shards;
+        Campaign.co_span_begin q Obs.Trace.Merge;
         let retained_now = merge_epoch t items results in
-        co_trace_end ~arg:retained_now obs;
-        Array.iter (fun (r : item_result) -> t.execs <- t.execs + r.execs) results;
+        Campaign.co_span_end ~arg:retained_now q;
+        Array.iter (fun (r : item_result) -> q.execs <- q.execs + r.execs) results;
         t.epochs <- t.epochs + 1;
         (* stall watchdog: epoch walls exist only when the observer
            carries a clock, so verdicts (like every wall) are
@@ -894,10 +573,10 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
             List.iter
               (fun (s, w, med) ->
                 Obs.Metrics.bump (Obs.Metrics.counter m "shard.stalls");
-                Obs.Observer.event t.obs
+                Obs.Observer.event obs
                   (Obs.Event.Stall
                      {
-                       at_exec = t.exec_base + t.execs;
+                       at_exec = exec_base + q.execs;
                        epoch = t.epochs;
                        shard = s;
                        wall_s = w;
@@ -905,101 +584,29 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
                      }))
               (stall_check ~walls ~factor:stall_factor)
         | _ -> ());
-        Obs.Observer.event t.obs
+        Obs.Observer.event obs
           (Obs.Event.Shard_sync
              {
-               at_exec = t.exec_base + t.execs;
+               at_exec = exec_base + q.execs;
                epoch = t.epochs;
-               queue = Corpus.size t.corpus;
+               queue = Corpus.size q.corpus;
                retained = retained_now;
                dup_dropped = t.dup_dropped;
              });
-        take_snapshot t;
-        (* barrier-aligned checkpoint, mid-budget only: resuming the
-           final state would be a no-op and the written file should
-           always have budget left to replay *)
-        match checkpoint with
-        | Some sk when t.execs < base.budget && t.execs >= !next_mark ->
-            co_trace_begin obs Obs.Trace.Checkpoint;
-            sk.save (capture_checkpoint t ~subject:sk.subject ~fuzzer:sk.fuzzer);
-            co_trace_end obs;
-            next_mark := Checkpoint.next_mark ~every:sk.every ~execs:t.execs
-        | _ -> ()
+        Campaign.take_snapshot q;
+        checkpoint ()
       done);
-  (* engine-level harvest, mirroring the sequential campaign's: walls
-     and gauges set once at budget exhaustion; artifact tallies summed
-     across the per-shard tracers (fusion shape is per-artifact and
-     identical across shards, so shard 0's stands for all). *)
-  let m = obs.metrics in
-  Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.vm_s") c.vm_s;
-  Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.mut_s") c.mut_s;
-  Obs.Metrics.add_wall
-    (Obs.Metrics.wall m "engine.compile_s")
-    (Array.fold_left
-       (fun a sh -> a +. Tracer.compile_seconds sh.tracer)
-       0. shards);
-  let hits, misses = Vm.Compile.cache_stats () in
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m "engine.seen_signals")
-    (Array.fold_left (fun a sh -> a + Tracer.seen_signals sh.tracer) 0 shards);
-  (match base.engine with
-  | Tracer.Native ->
-      let e = Vm.Emit.stats () in
-      Obs.Metrics.set_wall (Obs.Metrics.wall m "emit.compile_s") e.compile_s;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
-  | Tracer.Interp | Tracer.Compiled | Tracer.Fused -> ());
-  (match Tracer.artifact_stats shards.(0).tracer with
-  | None -> ()
-  | Some (_, s) ->
-      let rollbacks = ref 0 and careful = ref 0 in
-      Array.iter
-        (fun sh ->
-          match Tracer.artifact_stats sh.tracer with
-          | Some (r, _) ->
-              rollbacks := !rollbacks + r.Vm.Compile.rollbacks;
-              careful := !careful + r.Vm.Compile.careful_units
-          | None -> ())
-        shards;
-      Obs.Metrics.set (Obs.Metrics.gauge m "engine.rollbacks") !rollbacks;
-      Obs.Metrics.set (Obs.Metrics.gauge m "engine.careful_units") !careful;
-      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Compile.chains;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_blocks")
-        s.Vm.Compile.chain_blocks;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_max")
-        s.Vm.Compile.chain_max;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.dup_instrs")
-        s.Vm.Compile.dup_instrs);
-  let snapshots = Obs.Observer.snapshots_from obs ~from:snap_base in
+  let c = obs.counters in
+  Executor.harvest_metrics obs.metrics c (Array.map (fun sh -> sh.ex) shards);
   {
     campaign =
-      {
-        Campaign.config = base;
-        corpus = t.corpus;
-        triage = t.triage;
-        execs = t.execs;
-        queue_series =
-          List.map
-            (fun (r : Obs.Snapshot.row) -> (r.at_exec - exec_base, r.queue))
-            snapshots;
-        sum_exec_blocks = c.blocks - blocks0;
-        havocs = c.havocs - havocs0;
-        snapshots;
-        vm_s = c.vm_s -. vm_s0;
-        mut_s = c.mut_s -. mut_s0;
-        mut_minor_words = c.mut_minor_words -. mut_minor_words0;
-      };
+      Campaign.result_of q m ~blocks:(c.blocks - m.at.blocks)
+        ~havocs:(c.havocs - m.at.havocs);
     shards = cfg.shards;
     sync_interval = cfg.sync_interval;
     epochs = t.epochs;
     items = t.items_total;
     dup_dropped = t.dup_dropped;
-    virgin = t.virgin;
-    crash_virgin = t.crash_virgin;
+    virgin = q.virgin;
+    crash_virgin = q.crash_virgin;
   }

@@ -211,15 +211,6 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let run_full (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(input : string) : Vm.Interp.outcome =
-  match t.full_emit with
-  | Some e -> Vm.Emit.run ~fuel ~max_depth e ctx ~input
-  | None -> (
-      match t.full_art with
-      | Some art -> Vm.Compile.run ~fuel ~max_depth art ctx ~input
-      | None -> Vm.Interp.run_ctx ~fuel ~max_depth ctx ~input)
-
 let run_full_sub (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
     ~(max_depth : int) ~(buf : Bytes.t) ~(len : int) : Vm.Interp.outcome =
   match t.full_emit with
@@ -228,28 +219,6 @@ let run_full_sub (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
       match t.full_art with
       | Some art -> Vm.Compile.run_sub ~fuel ~max_depth art ctx ~buf ~len
       | None -> Vm.Interp.run_ctx_sub ~fuel ~max_depth ctx ~buf ~len)
-
-let run_signal (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(input : string) : Vm.Interp.outcome =
-  match t.sig_emit with
-  | Some e ->
-      let out = Vm.Emit.run ~fuel ~max_depth e ctx ~input in
-      t.last_sig <- Vm.Emit.signal e;
-      out
-  | None -> (
-      match t.sig_art with
-      | Some art ->
-          let out = Vm.Compile.run ~fuel ~max_depth art ctx ~input in
-          t.last_sig <- Vm.Compile.signal art;
-          out
-      | None -> (
-          match t.sig_ctx with
-          | Some sctx ->
-              t.sig_cell := 0;
-              let out = Vm.Interp.run_ctx ~fuel ~max_depth sctx ~input in
-              t.last_sig <- !(t.sig_cell);
-              out
-          | None -> invalid_arg "Tracer.run_signal: not a selective tracer"))
 
 let run_signal_sub (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
     ~(max_depth : int) ~(buf : Bytes.t) ~(len : int) : Vm.Interp.outcome =

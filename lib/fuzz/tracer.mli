@@ -64,19 +64,13 @@ val bind :
 
 (** {2 Execution}
 
-    [run_full]/[run_full_sub] execute with full instrumentation through
-    the selected engine on the given pooled context (compiled probes
-    ignore the context's hooks). [run_signal]/[run_signal_sub] execute
-    the signal specialisation and latch {!last_signal}; they require a
-    selective tracer. *)
-
-val run_full :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  input:string ->
-  Vm.Interp.outcome
+    One run over the first [len] bytes of [buf] (zero-copy; the VM never
+    writes its input). [run_full_sub] executes with full instrumentation
+    through the selected engine on the given pooled context (compiled
+    probes ignore the context's hooks). [run_signal_sub] executes the
+    signal specialisation and latches {!last_signal}; it requires a
+    selective tracer (the interpreter case runs on the private signal
+    context — the passed context is ignored). *)
 
 val run_full_sub :
   t ->
@@ -85,14 +79,6 @@ val run_full_sub :
   max_depth:int ->
   buf:Bytes.t ->
   len:int ->
-  Vm.Interp.outcome
-
-val run_signal :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  input:string ->
   Vm.Interp.outcome
 
 val run_signal_sub :
@@ -142,7 +128,7 @@ val run_signal_batch :
   sink:(int -> Vm.Interp.outcome -> unit) ->
   unit
 
-(** The signal latched by the last [run_signal]/[run_signal_sub]. *)
+(** The signal latched by the last signal run or batch. *)
 val last_signal : t -> int
 
 (** {2 Seen-signal set}

@@ -226,17 +226,17 @@ let test_calibration_crash_triaged () =
   in
   let st = Fuzz.Campaign.make_state prog in
   let e =
-    Fuzz.Corpus.add st.corpus ~data:"X" ~indices:[||] ~exec_blocks:1 ~depth:0
+    Fuzz.Corpus.add st.q.corpus ~data:"X" ~indices:[||] ~exec_blocks:1 ~depth:0
       ~found_at:0
   in
-  check Alcotest.int "nothing triaged yet" 0 (Fuzz.Triage.unique_bugs st.triage);
+  check Alcotest.int "nothing triaged yet" 0 (Fuzz.Triage.unique_bugs st.q.triage);
   ignore (Fuzz.Campaign.calibrate st e);
   check Alcotest.int "calibration crash triaged" 1
-    (Fuzz.Triage.unique_bugs st.triage);
+    (Fuzz.Triage.unique_bugs st.q.triage);
   check
     (Alcotest.option Alcotest.string)
     "witness recorded" (Some "X")
-    (Fuzz.Triage.bug_witness st.triage (Vm.Crash.Id 9))
+    (Fuzz.Triage.bug_witness st.q.triage (Vm.Crash.Id 9))
 
 let test_calibration_crashes_counted () =
   (* Every input crashes, so the fallback entry crashes on each
@@ -279,12 +279,12 @@ let test_full_queue_preserves_virgin () =
   let config = { Fuzz.Campaign.default_config with max_queue = 1 } in
   let st = Fuzz.Campaign.make_state ~config prog in
   Fuzz.Campaign.add_seed st "a";
-  check Alcotest.int "queue at capacity" 1 (Fuzz.Corpus.size st.corpus);
+  check Alcotest.int "queue at capacity" 1 (Fuzz.Corpus.size st.q.corpus);
   Fuzz.Campaign.process st ~depth:1 "h";
-  check Alcotest.int "not retained over capacity" 1 (Fuzz.Corpus.size st.corpus);
+  check Alcotest.int "not retained over capacity" 1 (Fuzz.Corpus.size st.q.corpus);
   ignore (Fuzz.Campaign.execute st "h");
   check Alcotest.bool "its coverage is still virgin" true
-    (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
+    (Pathcov.Coverage_map.merge_into ~virgin:st.q.virgin st.ex.feedback.trace
     <> Pathcov.Coverage_map.Nothing)
 
 (* --- measure & strategies --- *)

@@ -393,8 +393,31 @@ let test_introspected_sharded_identical () =
         check_bool
           (Printf.sprintf "shards %d: shard %d epoch spans" shards sh)
           true
-          (fst (Obs.Trace.agg tr ~track:(sh + 1) Obs.Trace.Epoch) > 0)
-      done)
+          (fst (Obs.Trace.agg tr ~track:(sh + 1) Obs.Trace.Epoch) > 0);
+        check_bool
+          (Printf.sprintf "shards %d: shard %d compile span" shards sh)
+          true
+          (fst (Obs.Trace.agg tr ~track:(sh + 1) Obs.Trace.Compile) >= 1)
+      done;
+      (* the per-exec spans cover the sharded loop: one Mutate span per
+         havoc and one Calibrate span per calibration, across shards *)
+      let on_shards kind =
+        let n = ref 0 in
+        for sh = 0 to shards - 1 do
+          n := !n + fst (Obs.Trace.agg tr ~track:(sh + 1) kind)
+        done;
+        !n
+      in
+      let c = obs.counters in
+      check_bool (Printf.sprintf "shards %d: havocs ran" shards) true
+        (c.havocs > 0 && c.calibrations > 0);
+      check Alcotest.int
+        (Printf.sprintf "shards %d: mutate spans = havocs" shards)
+        c.havocs (on_shards Obs.Trace.Mutate);
+      check Alcotest.int
+        (Printf.sprintf "shards %d: calibrate spans = calibrations" shards)
+        c.calibrations
+        (on_shards Obs.Trace.Calibrate))
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)

@@ -329,25 +329,25 @@ let test_pruning_in_calibration () =
   in
   let st = Fuzz.Campaign.make_state ~config prog in
   Fuzz.Campaign.add_seed st "xx";
-  check_bool "seed retained" true (Fuzz.Corpus.size st.corpus > 0);
+  check_bool "seed retained" true (Fuzz.Corpus.size st.q.corpus > 0);
   (* saturate the whole virgin map *)
-  let n = Pathcov.Coverage_map.size st.virgin in
+  let n = Pathcov.Coverage_map.size st.q.virgin in
   let idxs = Array.init n Fun.id in
   let vals = Array.make n 255 in
-  ignore (Pathcov.Coverage_map.merge_sparse_into ~virgin:st.virgin ~idxs ~vals);
-  let crashes0 = st.triage.total_crashes in
-  ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.corpus 0));
+  ignore (Pathcov.Coverage_map.merge_sparse_into ~virgin:st.q.virgin ~idxs ~vals);
+  let crashes0 = st.q.triage.total_crashes in
+  ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.q.corpus 0));
   check_bool "calibration engaged pruning" true
-    (Fuzz.Tracer.pruned_fids st.tracer > 0);
+    (Fuzz.Tracer.pruned_fids st.ex.tracer > 0);
   (* the crashing seed "hi" was never retained; force a crash calibration
      on a synthetic entry to cross the pruned-crash replay path *)
   let e =
-    Fuzz.Corpus.add st.corpus ~data:"hi" ~indices:[||] ~exec_blocks:1 ~depth:0
+    Fuzz.Corpus.add st.q.corpus ~data:"hi" ~indices:[||] ~exec_blocks:1 ~depth:0
       ~found_at:0
   in
   ignore (Fuzz.Campaign.calibrate st e);
   check Alcotest.int "pruned calibration still triages crashes"
-    (crashes0 + 1) st.triage.total_crashes
+    (crashes0 + 1) st.q.triage.total_crashes
 
 let suite =
   [
