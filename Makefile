@@ -64,7 +64,9 @@ resume-check: build
 # byte-identical across --engine interp/compiled/fused/native x
 # --selective on/off, sequentially and at any shard count (path mode
 # exercises the Ball-Larus probes, the fused bulk-burn/folded-increment
-# paths and the cmplog taps). The native tiers run against a private
+# paths and the cmplog taps; pathafl, pcguard, block and ngram4 cells
+# diff interp vs compiled+selective vs native, so every mode's probes
+# are checked in every engine). The native tiers run against a private
 # emit cache: the first run measures the cold compile wall, the second
 # must be served entirely from the cache (100% hits, zero misses), and
 # a PATHFUZZ_EMIT_FAIL=1 run must degrade to fused mid-flight with the
@@ -110,6 +112,18 @@ engine-check: build
 	  --emit-cache _build/engine-check/emit-cache \
 	  > _build/engine-check/sh-native.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-native.out
+	for f in pathafl pcguard block ngram4; do \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s cflow -f $$f -b 6000 \
+	    > _build/engine-check/$$f-interp.out && \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s cflow -f $$f -b 6000 \
+	    --engine compiled --selective > _build/engine-check/$$f-selective.out && \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s cflow -f $$f -b 6000 \
+	    --engine native --emit-cache _build/engine-check/emit-cache \
+	    > _build/engine-check/$$f-native.out && \
+	  diff _build/engine-check/$$f-interp.out _build/engine-check/$$f-selective.out && \
+	  diff _build/engine-check/$$f-interp.out _build/engine-check/$$f-native.out \
+	  || exit 1; \
+	done
 	PATHFUZZ_EMIT_FAIL=1 ./_build/default/bin/pathfuzz.exe fuzz -s cflow \
 	  -f path -b 6000 --engine native \
 	  --metrics _build/engine-check/native-fail.metrics.json \

@@ -1,44 +1,15 @@
-(** Coverage feedback listeners: the sensitivity ladder studied by the
-    paper. Each listener consumes VM execution events and fills a trace
-    [Coverage_map.t]; the fuzzer then classifies the trace and asks the
-    virgin map for novelty. Implemented modes:
+(** Coverage feedback listeners: the hook interpreter of {!Probe}
+    descriptions, filling a trace [Coverage_map.t] that the fuzzer then
+    classifies and merges into the virgin map. Listeners sit on the
+    execution hot path, so every site's {!Probe.closure} is tabulated
+    once: an event is a few array loads and one closure call, never an
+    allocation, and an event kind no site instruments gets a no-op
+    handler. *)
 
-    - [Block]: basic-block coverage (n-gram with n=0);
-    - [Edge]: AFL/pcguard-style edge coverage via a shifted previous-block
-      key, the paper's baseline feedback;
-    - [Ngram n]: last-n-blocks history hashing (§VII related work);
-    - [Path]: the paper's contribution — Ball–Larus intra-procedural
-      acyclic-path IDs, committed at back edges and returns, indexed as
-      [(path_id xor function_salt) mod map_size] (§IV);
-    - [Pathafl]: a PathAFL-like sketch — edge coverage plus a rolling hash
-      over "key" edges (function entries and branch edges), approximating
-      partial whole-program paths (Appendix C comparison).
+type mode = Probe.mode = Block | Edge | Ngram of int | Path | Pathafl
 
-    Listeners sit on the execution hot path (every VM block/edge event
-    lands here), so [make] precomputes per-(function, block) key tables
-    and the dense Ball–Larus transition tables once, and every handler is
-    allocation-free: events index arrays — no hashing, no hashtable
-    probes, no option or list allocation. *)
-
-type mode = Block | Edge | Ngram of int | Path | Pathafl
-
-let mode_name = function
-  | Block -> "block"
-  | Edge -> "edge"
-  | Ngram n -> Printf.sprintf "ngram%d" n
-  | Path -> "path"
-  | Pathafl -> "pathafl"
-
-let mode_of_name = function
-  | "block" -> Some Block
-  | "edge" -> Some Edge
-  | "path" -> Some Path
-  | "pathafl" -> Some Pathafl
-  | s when String.length s > 5 && String.sub s 0 5 = "ngram" -> (
-      match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n when n >= 2 -> Some (Ngram n)
-      | _ -> None)
-  | _ -> None
+let mode_name = Probe.mode_name
+let mode_of_name = Probe.mode_of_name
 
 type t = {
   mode : mode;
@@ -50,190 +21,54 @@ type t = {
   on_ret : int -> int -> unit;  (** [fid block]: return executes in block *)
 }
 
-(* Stable per-(function, block) location key, spread over the map domain. *)
-let block_key fid block = ((fid * 0x9e3779b1) + (block * 0x85ebca6b)) land max_int
-
-(* The precomputed form: [keys.(fid).(block) = block_key fid block]. *)
-let block_key_table (prog : Minic.Ir.program) : int array array =
-  Array.mapi
-    (fun fid (f : Minic.Ir.func) ->
-      Array.init (Array.length f.blocks) (fun b -> block_key fid b))
-    prog.funcs
-
-let make_block prog map =
-  let keys = block_key_table prog in
-  {
-    mode = Block;
-    trace = map;
-    reset = (fun () -> ());
-    on_call = (fun _ -> ());
-    on_block =
-      (fun fid b ->
-        Coverage_map.hit map (Array.unsafe_get (Array.unsafe_get keys fid) b));
-    on_edge = (fun _ _ _ -> ());
-    on_ret = (fun _ _ -> ());
-  }
-
-let make_edge prog map =
-  let keys = block_key_table prog in
-  let prev = ref 0 in
-  {
-    mode = Edge;
-    trace = map;
-    reset = (fun () -> prev := 0);
-    on_call = (fun _ -> ());
-    on_block =
-      (fun fid b ->
-        let cur = Array.unsafe_get (Array.unsafe_get keys fid) b in
-        Coverage_map.hit map (cur lxor !prev);
-        prev := cur lsr 1);
-    on_edge = (fun _ _ _ -> ());
-    on_ret = (fun _ _ -> ());
-  }
-
-let make_ngram n prog map =
-  if n < 2 then invalid_arg "Feedback.make_ngram: n must be >= 2";
-  let keys = block_key_table prog in
-  let hist = Array.make n 0 in
-  let pos = ref 0 in
-  {
-    mode = Ngram n;
-    trace = map;
-    reset =
-      (fun () ->
-        Array.fill hist 0 n 0;
-        pos := 0);
-    on_call = (fun _ -> ());
-    on_block =
-      (fun fid b ->
-        hist.(!pos mod n) <- Array.unsafe_get (Array.unsafe_get keys fid) b;
-        incr pos;
-        let h = ref 0 in
-        for i = 0 to n - 1 do
-          h := !h lxor (hist.(i) lsr (i land 15))
-        done;
-        Coverage_map.hit map !h);
-    on_edge = (fun _ _ _ -> ());
-    on_ret = (fun _ _ -> ());
-  }
-
-let make_path (plans : Ball_larus.program_plans) (prog : Minic.Ir.program) map =
-  let salts =
-    Array.map (fun (f : Minic.Ir.func) -> Hashtbl.hash f.name * 0x9e3779b1) prog.funcs
+(* The hook dispatch: every site's closure tabulated once. *)
+let hooks (st : Probe.state) (d : Probe.t) (prog : Minic.Ir.program) =
+  let funcs = prog.funcs in
+  let noop () = () in
+  let site fid = function None -> noop | Some op -> Probe.closure st fid op in
+  (* Sites per function, [width] per block: call, block and return
+     sites at [b]; edge sites at [2 * src + slot], [slot] the
+     successor's position in [Ir.successors] — a block has at most two,
+     so [first.(fid).(src)] alone tells an edge event's slot. *)
+  let table width f =
+    Array.mapi
+      (fun fid (fn : Minic.Ir.func) ->
+        Array.init (width * Array.length fn.blocks) (f fid))
+      funcs
   in
-  (* Dense transition tables: two loads per edge event instead of a
-     hashtable probe allocating an option. *)
-  let dense = Array.map Ball_larus.dense plans.plans in
-  let ret_adds =
-    Array.map (fun (p : Ball_larus.t) -> p.Ball_larus.ret_add) plans.plans
+  let calls = Array.init (Array.length funcs) (fun fid -> site fid (d.call fid)) in
+  let blocks = table 1 (fun fid b -> site fid (d.block fid b)) in
+  let rets = table 1 (fun fid b -> site fid (d.ret fid b)) in
+  let succs fid b = Minic.Ir.successors funcs.(fid).blocks.(b).term in
+  let first = table 1 (fun fid b -> match succs fid b with s :: _ -> s | [] -> -1) in
+  let edges =
+    table 2 (fun fid i ->
+        match List.nth_opt (succs fid (i / 2)) (i mod 2) with
+        | Some dst -> site fid (d.edge fid (i / 2) dst)
+        | None -> noop)
   in
-  (* One path register per live activation, kept as a growable int stack
-     (no per-call consing); reset clears leftovers from crashed
-     executions. *)
-  let regs = ref (Array.make 64 0) in
-  let top = ref 0 in
-  let commit fid pid =
-    Coverage_map.hit map ((pid lxor Array.unsafe_get salts fid) land max_int)
-  in
-  {
-    mode = Path;
-    trace = map;
-    reset = (fun () -> top := 0);
-    on_call =
-      (fun _fid ->
-        if !top = Array.length !regs then begin
-          let bigger = Array.make (2 * !top) 0 in
-          Array.blit !regs 0 bigger 0 !top;
-          regs := bigger
-        end;
-        Array.unsafe_set !regs !top 0;
-        incr top);
-    on_block = (fun _ _ -> ());
-    on_edge =
-      (fun fid src dst ->
-        let d = Array.unsafe_get dense fid in
-        let i = (src * d.Ball_larus.d_stride) + dst in
-        match Bytes.unsafe_get d.Ball_larus.d_tag i with
-        | '\000' -> ()
-        | '\001' ->
-            if !top > 0 then begin
-              let r = !regs in
-              let k = !top - 1 in
-              Array.unsafe_set r k
-                (Array.unsafe_get r k + Array.unsafe_get d.Ball_larus.d_add i)
-            end
-        | _ ->
-            if !top > 0 then begin
-              let r = !regs in
-              let k = !top - 1 in
-              commit fid (Array.unsafe_get r k + Array.unsafe_get d.Ball_larus.d_add i);
-              Array.unsafe_set r k (Array.unsafe_get d.Ball_larus.d_reset i)
-            end);
-    on_ret =
-      (fun fid block ->
-        if !top > 0 then begin
-          let k = !top - 1 in
-          commit fid
-            (Array.unsafe_get !regs k
-            + Array.unsafe_get (Array.unsafe_get ret_adds fid) block);
-          top := k
-        end);
-  }
-
-let make_pathafl (prog : Minic.Ir.program) map =
-  let keys = block_key_table prog in
-  (* Per-function entry keys, and the branch-edge predicate: edges out of
-     multi-successor blocks are "key" edges feeding the rolling
-     whole-program hash. *)
-  let entry_keys =
-    Array.init (Array.length prog.funcs) (fun fid -> block_key fid 0 + 1)
-  in
-  let nsucc =
-    Array.map
-      (fun (f : Minic.Ir.func) ->
-        Array.map
-          (fun (b : Minic.Ir.block) -> List.length (Minic.Ir.successors b.term))
-          f.blocks)
-      prog.funcs
-  in
-  let prev = ref 0 in
-  let rolling = ref 0 in
-  let key_event k =
-    rolling := (((!rolling lsl 13) lor (!rolling lsr 49)) lxor k) land max_int;
-    Coverage_map.hit map !rolling
-  in
-  {
-    mode = Pathafl;
-    trace = map;
-    reset =
-      (fun () ->
-        prev := 0;
-        rolling := 0);
-    on_call = (fun fid -> key_event (Array.unsafe_get entry_keys fid));
-    on_block =
-      (fun fid b ->
-        let cur = Array.unsafe_get (Array.unsafe_get keys fid) b in
-        Coverage_map.hit map (cur lxor !prev);
-        prev := cur lsr 1);
-    on_edge =
-      (fun fid src dst ->
-        if Array.unsafe_get (Array.unsafe_get nsucc fid) src >= 2 then
-          key_event (Array.unsafe_get (Array.unsafe_get keys fid) src lxor (dst * 31)));
-    on_ret = (fun _ _ -> ());
-  }
+  let quiet tbl = Array.for_all (Array.for_all (fun c -> c == noop)) tbl in
+  ( (if quiet [| calls |] then fun _ -> ()
+     else fun fid -> (Array.unsafe_get calls fid) ()),
+    (if quiet blocks then fun _ _ -> ()
+     else fun fid b -> (Array.unsafe_get (Array.unsafe_get blocks fid) b) ()),
+    (if quiet edges then fun _ _ _ -> ()
+     else fun fid src dst ->
+       let slot =
+         if Array.unsafe_get (Array.unsafe_get first fid) src = dst then 2 * src
+         else (2 * src) + 1
+       in
+       let c = Array.unsafe_get (Array.unsafe_get edges fid) slot in
+       if c != noop then c ()),
+    if quiet rets then fun _ _ -> ()
+    else fun fid b -> (Array.unsafe_get (Array.unsafe_get rets fid) b) () )
 
 (** Instantiate a feedback listener for [prog]. [plans] may be supplied to
     share a precomputed Ball–Larus artifact across campaigns (it is only
     consulted for [Path] mode). *)
 let make ?size_log2 ?plans mode (prog : Minic.Ir.program) : t =
-  let map = Coverage_map.create ?size_log2 () in
-  match mode with
-  | Block -> make_block prog map
-  | Edge -> make_edge prog map
-  | Ngram n -> make_ngram n prog map
-  | Path ->
-      let plans =
-        match plans with Some p -> p | None -> Ball_larus.of_program prog
-      in
-      make_path plans prog map
-  | Pathafl -> make_pathafl prog map
+  let d = Probe.of_mode ?plans mode prog in
+  let st = Probe.state d prog (Coverage_map.create ?size_log2 ()) in
+  let on_call, on_block, on_edge, on_ret = hooks st d prog in
+  let reset () = Probe.reset st in
+  { mode; trace = st.map; reset; on_call; on_block; on_edge; on_ret }

@@ -1,32 +1,16 @@
-(** Coverage feedback listeners: the sensitivity ladder studied by the
-    paper. Each listener consumes VM execution events and fills a trace
-    {!Coverage_map.t}; the fuzzer classifies the trace and asks the virgin
-    map for novelty. *)
+(** Coverage feedback listeners: the hook interpreter of {!Probe}
+    descriptions. A listener dispatches VM events to its sites'
+    {!Probe.closure}s and fills a trace {!Coverage_map.t}, which the
+    fuzzer classifies and merges into the virgin map. *)
 
-(** Available feedback modes:
-    - [Block]: basic-block coverage (n-gram with n = 0);
-    - [Edge]: AFL/pcguard-style edge coverage, the paper's baseline;
-    - [Ngram n]: last-n-blocks history hashing (§VII related work);
-    - [Path]: the paper's contribution — Ball–Larus intra-procedural
-      acyclic-path IDs committed at back edges and returns, indexed as
-      [(path_id xor function_salt) mod map_size] (§IV);
-    - [Pathafl]: a PathAFL-like sketch — edge coverage plus a rolling hash
-      over key edges, approximating partial whole-program paths
-      (Appendix C comparison). *)
-type mode = Block | Edge | Ngram of int | Path | Pathafl
+(** The feedback modes, described in {!Probe.mode}. *)
+type mode = Probe.mode = Block | Edge | Ngram of int | Path | Pathafl
 
 val mode_name : mode -> string
 
-(** Inverse of {!mode_name} ("block", "edge", "ngram<n>", "path",
-    "pathafl") — the CLI/stats surface parses mode names with this so
-    the two can never drift apart. *)
+(** Inverse of {!mode_name} — the CLI/stats surface parses mode names
+    with this so the two can never drift apart. *)
 val mode_of_name : string -> mode option
-
-(** Stable per-(function, block) location key, spread over the map
-    domain — the primitive every listener derives its indices from.
-    Exposed so the staged compiler ([Vm.Compile]) bakes exactly the same
-    keys into its probes as the runtime listeners compute. *)
-val block_key : int -> int -> int
 
 type t = {
   mode : mode;
@@ -38,12 +22,24 @@ type t = {
   on_ret : int -> int -> unit;  (** [fid block]: return executes in block *)
 }
 
-(** Instantiate a feedback listener for a program. [plans] may be supplied
-    to share a precomputed Ball–Larus artifact across campaigns (consulted
-    only in [Path] mode). *)
+(** Instantiate a feedback listener for a program: the hook dispatch
+    over [Probe.of_mode ?plans mode prog]. [plans] may be supplied to
+    share a precomputed Ball–Larus artifact across campaigns (consulted
+    only in [Path] mode). Raises [Invalid_argument] as {!Probe.check}. *)
 val make :
   ?size_log2:int ->
   ?plans:Ball_larus.program_plans ->
   mode ->
   Minic.Ir.program ->
   t
+
+(** The hook dispatch over a description: [(on_call, on_block, on_edge,
+    on_ret)] handlers running each site's {!Probe.closure}, as {!make}
+    wires them. The interp engine's selective-tracing listener is this over
+    {!Probe.signal}. *)
+val hooks :
+  Probe.state ->
+  Probe.t ->
+  Minic.Ir.program ->
+  (int -> unit) * (int -> int -> unit) * (int -> int -> int -> unit)
+  * (int -> int -> unit)

@@ -55,7 +55,7 @@ open Interp
     bench's "none" row); [Ssignal] folds the whole tagged execution
     event stream (call/block/ret) into a rolling hash — the selective-
     tracing novelty signal — and nothing else; [Sfull mode] bakes the
-    corresponding {!Pathcov.Feedback} listener in as per-site probes. *)
+    mode's {!Pathcov.Probe} description in as per-site probes. *)
 type spec = Snone | Ssignal | Sfull of Pathcov.Feedback.mode
 
 let spec_name = function
@@ -64,23 +64,15 @@ let spec_name = function
   | Sfull m -> Pathcov.Feedback.mode_name m
 
 (* Per-campaign (rebindable) listener state. One record per artifact;
-   probes read it through the closure environment, so rebinding [trace]
-   or [h_cmp] retargets every probe at once. [depth] replaces the
+   probes read [st] through the closure environment, so rebinding its
+   map or [h_cmp] retargets every probe at once. [depth] replaces the
    interpreter's threaded depth argument: block closures are binary
    (ctx, frame) and only call sites and function entries touch the
    cell. *)
 type cstate = {
-  mutable trace : Pathcov.Coverage_map.t;
+  st : Pathcov.Probe.state;  (** probe registers, map, pruning gate *)
   mutable h_cmp : int -> int -> unit;
   mutable depth : int;  (** current activation depth *)
-  mutable prev : int;  (** edge / pathafl previous-block register *)
-  hist : int array;  (** ngram history ring (length n, else empty) *)
-  mutable pos : int;
-  mutable regs : int array;  (** Ball–Larus path registers, a stack *)
-  mutable top : int;
-  mutable rolling : int;  (** pathafl whole-program rolling hash *)
-  mutable sig_h : int;  (** Ssignal event-stream hash *)
-  mutable pruned : Bytes.t;  (** per-fid path-commit elision gate *)
   (* introspection tallies — plain stores on paths that never feed back
      into execution, so they are trajectory-invisible *)
   mutable stat_rollbacks : int;
@@ -113,260 +105,22 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Selective-tracing signal: a 62-bit rolling hash over the tagged
-   event stream. Blocks alone would conflate recursion with looping;
-   with call/block/ret tags the per-activation block sequences — and
-   hence every edge — are derivable from the stream, so signal equality
-   implies trace equality under every feedback mode (modulo hash
-   collisions; see DESIGN §12). Both engines must compute bit-identical
-   signals, so the in-interpreter hook variant below shares these.
+(* Probe descriptions *)
 
-   The mixer is xor-then-multiply (xorshift*-style; odd multiplier, so
-   each step is a bijection of the accumulator). A rotate-xor mixer is
-   NOT acceptable here: it is linear over GF(2) with rotation period 62,
-   so the hash only sees the XOR of tags grouped by stream position mod
-   62 — compensating loop-iteration patterns collide within a few
-   thousand executions and break skip invisibility (observed on cflow). *)
+let describe ?plans (p : prepared) = function
+  | Snone -> Pathcov.Probe.none
+  | Ssignal -> Pathcov.Probe.signal
+  | Sfull mode -> Pathcov.Probe.of_mode ?plans mode p.prog
 
-let[@inline] sig_mix h k = ((h lxor k) * 0x2545F4914F6CDD1D) land max_int
-let sig_call_tag fid = Pathcov.Feedback.block_key fid 0 + 0x1351
-let sig_block_tag fid b = Pathcov.Feedback.block_key fid b
-let sig_ret_tag fid b = Pathcov.Feedback.block_key fid b lxor 0x6b43
-
-(** The interpreter-engine signal listener: same hash, driven by hooks.
-    [cell] accumulates across one execution; reset it to 0 first. *)
+(** The interpreter-engine signal listener: the hook dispatch over
+    {!Pathcov.Probe.signal}. [cell] accumulates across one execution;
+    reset it to 0 first. *)
 let signal_hooks (p : prepared) ~(cell : int ref) : hooks =
-  let block_tags =
-    Array.mapi
-      (fun fid (f : rfunc) ->
-        Array.init (Array.length f.rblocks) (fun b -> sig_block_tag fid b))
-      p.rfuncs
-  in
-  let ret_tags =
-    Array.mapi
-      (fun fid (f : rfunc) ->
-        Array.init (Array.length f.rblocks) (fun b -> sig_ret_tag fid b))
-      p.rfuncs
-  in
-  let call_tags =
-    Array.init (Array.length p.rfuncs) (fun fid -> sig_call_tag fid)
-  in
-  {
-    no_hooks with
-    h_call = (fun fid -> cell := sig_mix !cell (Array.unsafe_get call_tags fid));
-    h_block =
-      (fun fid b ->
-        cell := sig_mix !cell (Array.unsafe_get (Array.unsafe_get block_tags fid) b));
-    h_ret =
-      (fun fid b ->
-        cell := sig_mix !cell (Array.unsafe_get (Array.unsafe_get ret_tags fid) b));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Probe generation: compile-time per-site closures, or None = the
-   probe is not emitted at all. *)
-
-type probes = {
-  pc : int -> (unit -> unit) option;  (** fid *)
-  pb : int -> int -> (unit -> unit) option;  (** fid block *)
-  pe : int -> int -> int -> (unit -> unit) option;  (** fid src dst *)
-  pr : int -> int -> (unit -> unit) option;  (** fid block (return) *)
-  pe_add : int -> int -> int -> int option;
-      (** Superblock-fusion query: [Some k] means the edge's only effect
-          is adding [k] to the current Ball–Larus register ([k = 0]: no
-          effect at all), so consecutive fused edges may fold their
-          constants into one deferred add; [None] means the probe must
-          fire in place (it reads or commits the register, or emits an
-          event whose stream position is observable). Must agree with
-          {!pe}: an edge reported [Some _] is exactly one whose [pe]
-          either is [None] or only adds to the register. *)
-  padd : (int -> unit) option;
-      (** Apply a folded (nonzero) register add — same top-of-stack guard
-          as the per-edge closures it replaces. [None] when the spec has
-          no register adds to fold (then [pe_add] never reports a nonzero
-          constant). *)
-  emit_cmp : bool;  (** compile [cs.h_cmp] calls into comparisons *)
-}
-
-let probes_none =
-  {
-    pc = (fun _ -> None);
-    pb = (fun _ _ -> None);
-    pe = (fun _ _ _ -> None);
-    pr = (fun _ _ -> None);
-    pe_add = (fun _ _ _ -> Some 0);
-    padd = None;
-    emit_cmp = false;
-  }
-
-let probes_signal (cs : cstate) =
-  {
-    probes_none with
-    pc =
-      (fun fid ->
-        let k = sig_call_tag fid in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
-    pb =
-      (fun fid b ->
-        let k = sig_block_tag fid b in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
-    pr =
-      (fun fid b ->
-        let k = sig_ret_tag fid b in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
-  }
-
-let probes_block (cs : cstate) =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let key = Pathcov.Feedback.block_key fid b in
-        Some (fun () -> Pathcov.Coverage_map.hit cs.trace key));
-  }
-
-let probes_edge (cs : cstate) =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let cur = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Pathcov.Coverage_map.hit cs.trace (cur lxor cs.prev);
-            cs.prev <- cur lsr 1));
-  }
-
-let probes_ngram (cs : cstate) n =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let key = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Array.unsafe_set cs.hist (cs.pos mod n) key;
-            cs.pos <- cs.pos + 1;
-            let h = ref 0 in
-            for i = 0 to n - 1 do
-              h := !h lxor (Array.unsafe_get cs.hist i lsr (i land 15))
-            done;
-            Pathcov.Coverage_map.hit cs.trace !h));
-  }
-
-(* Path probes: the Ball–Larus operation per edge is resolved at compile
-   time — edges carrying no operation compile to direct jumps, register
-   increments bake their constant in, and commits bake (salt, add/reset)
-   in. Commits additionally consult the per-function pruning gate: an
-   elided commit skips only the map write (the register discipline is
-   untouched, so later commits in the same run stay exact). *)
-let path_salt (f : Minic.Ir.func) = Hashtbl.hash f.Minic.Ir.name * 0x9e3779b1
-
-let probes_path (cs : cstate) (p : prepared)
-    (plans : Pathcov.Ball_larus.program_plans) =
-  let salts = Array.map path_salt p.prog.funcs in
-  {
-    probes_none with
-    emit_cmp = true;
-    pc =
-      (fun _fid ->
-        Some
-          (fun () ->
-            if cs.top = Array.length cs.regs then begin
-              let bigger = Array.make (2 * cs.top) 0 in
-              Array.blit cs.regs 0 bigger 0 cs.top;
-              cs.regs <- bigger
-            end;
-            Array.unsafe_set cs.regs cs.top 0;
-            cs.top <- cs.top + 1));
-    pe =
-      (fun fid src dst ->
-        match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-        | None -> None
-        | Some (Pathcov.Ball_larus.Add k) ->
-            Some
-              (fun () ->
-                if cs.top > 0 then begin
-                  let r = cs.regs in
-                  let i = cs.top - 1 in
-                  Array.unsafe_set r i (Array.unsafe_get r i + k)
-                end)
-        | Some (Pathcov.Ball_larus.Commit_back { add; reset }) ->
-            let salt = salts.(fid) in
-            Some
-              (fun () ->
-                if cs.top > 0 then begin
-                  let r = cs.regs in
-                  let i = cs.top - 1 in
-                  if Bytes.unsafe_get cs.pruned fid = '\000' then
-                    Pathcov.Coverage_map.hit cs.trace
-                      (((Array.unsafe_get r i + add) lxor salt) land max_int);
-                  Array.unsafe_set r i reset
-                end));
-    pe_add =
-      (fun fid src dst ->
-        match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-        | None -> Some 0
-        | Some (Pathcov.Ball_larus.Add k) -> Some k
-        | Some (Pathcov.Ball_larus.Commit_back _) -> None);
-    padd =
-      Some
-        (fun k ->
-          if cs.top > 0 then begin
-            let r = cs.regs in
-            let i = cs.top - 1 in
-            Array.unsafe_set r i (Array.unsafe_get r i + k)
-          end);
-    pr =
-      (fun fid block ->
-        let ra = plans.plans.(fid).Pathcov.Ball_larus.ret_add.(block) in
-        let salt = salts.(fid) in
-        Some
-          (fun () ->
-            if cs.top > 0 then begin
-              let i = cs.top - 1 in
-              if Bytes.unsafe_get cs.pruned fid = '\000' then
-                Pathcov.Coverage_map.hit cs.trace
-                  (((Array.unsafe_get cs.regs i + ra) lxor salt) land max_int);
-              cs.top <- i
-            end));
-  }
-
-let probes_pathafl (cs : cstate) (p : prepared) =
-  let nsucc fid src =
-    List.length
-      (Minic.Ir.successors p.prog.funcs.(fid).blocks.(src).Minic.Ir.term)
-  in
-  let key_event k =
-    cs.rolling <- (((cs.rolling lsl 13) lor (cs.rolling lsr 49)) lxor k) land max_int;
-    Pathcov.Coverage_map.hit cs.trace cs.rolling
-  in
-  {
-    probes_none with
-    emit_cmp = true;
-    pc =
-      (fun fid ->
-        let k = Pathcov.Feedback.block_key fid 0 + 1 in
-        Some (fun () -> key_event k));
-    pb =
-      (fun fid b ->
-        let cur = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Pathcov.Coverage_map.hit cs.trace (cur lxor cs.prev);
-            cs.prev <- cur lsr 1));
-    pe =
-      (fun fid src dst ->
-        if nsucc fid src >= 2 then
-          let k = Pathcov.Feedback.block_key fid src lxor (dst * 31) in
-          Some (fun () -> key_event k)
-        else None);
-    pe_add =
-      (fun fid src _dst -> if nsucc fid src >= 2 then None else Some 0);
-  }
+  let d = Pathcov.Probe.signal in
+  let map = Pathcov.Coverage_map.create ~size_log2:6 () in
+  let st = Pathcov.Probe.state ~signal:cell d p.prog map in
+  let h_call, h_block, h_edge, h_ret = Pathcov.Feedback.hooks st d p.prog in
+  { no_hooks with h_call; h_block; h_edge; h_ret }
 
 (* ------------------------------------------------------------------ *)
 (* May-hold-array analysis.
@@ -581,10 +335,11 @@ let zero_slots_analysis (p : prepared) : int array array =
 type iexp = exec_ctx -> frame -> int
 type aexp = exec_ctx -> frame -> int array
 
-(* Compile-time environment: listener state + the typing views needed by
-   the function being compiled. *)
+(* Compile-time environment: listener state, the probe description +
+   the typing views needed by the function being compiled. *)
 type env = {
   cs : cstate;
+  desc : Pathcov.Probe.t;
   emit_cmp : bool;
   lmay : bool array array;  (** all functions (for call-arg stores) *)
   ma : bool array;  (** current function's locals (= [lmay.(fid)]) *)
@@ -595,6 +350,15 @@ type env = {
 }
 
 let type_err site what = raise (Crash_exn (Crash.Type_error what, site))
+
+(* A site's probe: its op's closure, or [None] — not emitted at all.
+   Commits consult the pruning gate [st.pruned]: an elided commit skips
+   only the map write, so later commits in the run stay exact. *)
+let probe env fid = Option.map (Pathcov.Probe.closure env.cs.st fid)
+let pc env fid = probe env fid (env.desc.call fid)
+let pb env fid b = probe env fid (env.desc.block fid b)
+let pe env fid src dst = probe env fid (env.desc.edge fid src dst)
+let pr env fid b = probe env fid (env.desc.ret fid b)
 
 (* Effect-free int operands — constants and slots the typing proves
    int-only — fuse into their consumer without a closure call: their
@@ -1513,11 +1277,11 @@ let ccall (env : env) (p : prepared) (fentries : bfn array) (fid : int) ~dst
     store_ret ctx fr;
     rest ctx fr
 
-let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
+let cterm (env : env) (tbl : bfn array) (fid : int)
     (label : int) (t : rterm) : bfn =
   match t with
   | Rgoto l -> begin
-      match probes.pe fid label l with
+      match pe env fid label l with
       | None -> fun ctx fr -> (Array.unsafe_get tbl l) ctx fr
       | Some p ->
           fun ctx fr ->
@@ -1526,7 +1290,7 @@ let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rbranch (cond, tl, fl, _site) -> begin
       let fc = ccond env cond in
-      match (probes.pe fid label tl, probes.pe fid label fl) with
+      match (pe env fid label tl, pe env fid label fl) with
       | None, None ->
           fun ctx fr ->
             let d = if fc ctx fr then tl else fl in
@@ -1558,7 +1322,7 @@ let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rret (e, _site) -> begin
       let f = cret env e in
-      match probes.pr fid label with
+      match pr env fid label with
       | None -> fun ctx fr -> f ctx fr
       | Some p ->
           fun ctx fr ->
@@ -1573,12 +1337,12 @@ let[@inline] fire = function None -> () | Some p -> p ()
    bulk of loop control, and the generic dispatcher would spend an extra
    closure hop on them. Event order matches the interpreter: burn,
    blocks, h_block, condition (h_cmp inside), h_edge/h_ret, jump. *)
-let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
+let cblock_empty (env : env) (tbl : bfn array) (fid : int)
     (label : int) (t : rterm) : bfn =
-  let pb = probes.pb fid label in
+  let pb = pb env fid label in
   match t with
   | Rgoto l ->
-      let pe = probes.pe fid label l in
+      let pe = pe env fid label l in
       fun ctx fr ->
         ctx.fuel <- ctx.fuel - 1;
         if ctx.fuel <= 0 then raise Out_of_fuel;
@@ -1587,7 +1351,7 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
         fire pe;
         (Array.unsafe_get tbl l) ctx fr
   | Rbranch (cond, tl, fl, _site) -> begin
-      let pt = probes.pe fid label tl and pf = probes.pe fid label fl in
+      let pt = pe env fid label tl and pf = pe env fid label fl in
       (* Loop-control blocks with a simple-operand comparison inline the
          test itself — entry, condition and jump in one closure. *)
       let simple_cmp =
@@ -1694,7 +1458,7 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rret (e, _site) ->
       let f = cret env e in
-      let pr = probes.pr fid label in
+      let pr = pr env fid label in
       fun ctx fr ->
         ctx.fuel <- ctx.fuel - 1;
         if ctx.fuel <= 0 then raise Out_of_fuel;
@@ -1708,13 +1472,13 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
    fallback, sharing one continuation), and fold the block-entry burn,
    the [blocks] work counter and the block probe into the first
    segment. *)
-let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cblock (env : env) (p : prepared) (fentries : bfn array)
     (tbl : bfn array) (fid : int) (label : int) (b : rblock) : bfn =
   let instrs = b.rinstrs in
   let n = Array.length instrs in
-  if n = 0 then cblock_empty env probes tbl fid label b.rterm
+  if n = 0 then cblock_empty env tbl fid label b.rterm
   else begin
-  let term = cterm env probes tbl fid label b.rterm in
+  let term = cterm env tbl fid label b.rterm in
   (* [build i ~first] compiles execution from instruction [i] to the end
      of the block: one dispatcher for the straight-line run starting at
      [i], chained through the call (if any) into the next segment. *)
@@ -1746,7 +1510,7 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
       let head_careful : bfn -> bfn =
         if not first then fun body -> body
         else
-          match probes.pb fid label with
+          match pb env fid label with
           | None ->
               fun body ctx fr ->
                 ctx.fuel <- ctx.fuel - 1;
@@ -1778,7 +1542,7 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
             careful ctx fr
           end
       else
-        match probes.pb fid label with
+        match pb env fid label with
         | None ->
             fun ctx fr ->
               ctx.fuel <- ctx.fuel - burn_units;
@@ -1836,8 +1600,8 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
    with [ctx.blocks] advanced per block entry) bit-identical to the
    unfused engine. Probe event order is preserved: block probes fire
    per entry in chain order, and only edges whose entire effect is a
-   register increment ([probes.pe_add] = [Some k]) are folded — the
-   folded constant is flushed (via [probes.padd], same top-of-stack
+   register increment ([Probe.fold_add] = [Some k]) are folded — the
+   folded constant is flushed (as one [Add] op, same top-of-stack
    guard) before any must-fire edge probe (a commit reads the register)
    and at segment end, and adds commute with everything in between
    (instructions never touch the register; register state after an
@@ -1919,7 +1683,7 @@ let fusion_plan (f : rfunc) : int list option array =
   fusion_plan_of f (fusion_interior f)
 
 (* Compile one fused chain into a single closure. *)
-let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cchain (env : env) (p : prepared) (fentries : bfn array)
     (tbl : bfn array) (fid : int) (f : rfunc) (chain : int list) : bfn =
   let instr_op i = match i with Rcall _ -> Ocall i | _ -> Oinstr i in
   (* Flatten the chain into an op stream; the last block's terminator
@@ -1930,7 +1694,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
     | [ last ] ->
         let b = f.rblocks.(last) in
         ( Oentry last :: List.map instr_op (Array.to_list b.rinstrs),
-          cterm env probes tbl fid last b.rterm )
+          cterm env tbl fid last b.rterm )
     | cur :: (next :: _ as rest) ->
         let b = f.rblocks.(cur) in
         let here =
@@ -1962,23 +1726,20 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
               match op with Oentry _ | Oinstr _ -> a + 1 | _ -> a)
             0 seg
         in
-        (* Apply a folded register add ([padd] is the fold target the
-           probe set promised whenever [pe_add] reports nonzero). *)
+        (* Apply a folded register add. *)
         let apply_add k (restf : bfn) : bfn =
           if k = 0 then restf
           else
-            match probes.padd with
-            | Some add ->
-                fun ctx fr ->
-                  add k;
-                  restf ctx fr
-            | None -> assert false
+            let add = Pathcov.Probe.closure env.cs.st fid (Add k) in
+            fun ctx fr ->
+              add ();
+              restf ctx fr
         in
         let rec fast pending = function
           | [] -> apply_add pending cont
           | Oentry b :: tl -> (
               let restf = fast pending tl in
-              match probes.pb fid b with
+              match pb env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.blocks <- ctx.blocks + 1;
@@ -1990,12 +1751,12 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
                     restf ctx fr)
           | Oinstr i :: tl -> cinstr_fast env i (fast pending tl)
           | Oedge (s, d) :: tl -> (
-              match probes.pe_add fid s d with
+              match Pathcov.Probe.fold_add (env.desc.edge fid s d) with
               | Some k -> fast (pending + k) tl
               | None ->
                   (* Must fire in place: flush the fold first. *)
                   let fire_then =
-                    match probes.pe fid s d with
+                    match pe env fid s d with
                     | None -> fast 0 tl
                     | Some pe ->
                         let restf = fast 0 tl in
@@ -2010,7 +1771,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
           | [] -> cont
           | Oentry b :: tl -> (
               let restc = careful tl in
-              match probes.pb fid b with
+              match pb env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.fuel <- ctx.fuel - 1;
@@ -2026,7 +1787,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
                     restc ctx fr)
           | Oinstr i :: tl -> cinstr_careful env i (careful tl)
           | Oedge (s, d) :: tl -> (
-              match probes.pe fid s d with
+              match pe env fid s d with
               | None -> careful tl
               | Some pe ->
                   let restc = careful tl in
@@ -2046,7 +1807,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
           match seg with
           | Oentry b :: tl -> (
               let fastc = fast 0 tl in
-              match probes.pb fid b with
+              match pb env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.fuel <- ctx.fuel - burn;
@@ -2088,12 +1849,12 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
   in
   compile_ops ops
 
-let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cfunc (env : env) (p : prepared) (fentries : bfn array)
     ~(fused : bool) (fid : int) (f : rfunc) : bfn =
   let nb = Array.length f.rblocks in
   let tbl = Array.make nb (fun _ _ -> assert false : bfn) in
   for b = 0 to nb - 1 do
-    tbl.(b) <- cblock env probes p fentries tbl fid b f.rblocks.(b)
+    tbl.(b) <- cblock env p fentries tbl fid b f.rblocks.(b)
   done;
   if fused then begin
     let interior = fusion_interior f in
@@ -2112,13 +1873,13 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
                   cs.stat_dup_instrs <-
                     cs.stat_dup_instrs + Array.length f.rblocks.(l).rinstrs + 1)
               chain;
-            tbl.(b) <- cchain env probes p fentries tbl fid f chain
+            tbl.(b) <- cchain env p fentries tbl fid f chain
       | None -> ()
     done
   end;
   let b0 = tbl.(0) in
   let cs = env.cs in
-  match probes.pc fid with
+  match pc env fid with
   | None ->
       fun ctx fr ->
         if cs.depth > ctx.max_depth then
@@ -2142,30 +1903,7 @@ let prune_path_bound = 4096
 let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
     (spec : spec) : t =
   let nfuncs = Array.length p.rfuncs in
-  let pruned_zero = Bytes.make (max 1 nfuncs) '\000' in
   let pruned_live = Bytes.make (max 1 nfuncs) '\000' in
-  let ngram_n = match spec with Sfull (Ngram n) -> n | _ -> 0 in
-  let cs =
-    {
-      trace = Pathcov.Coverage_map.create ~size_log2:6 ();
-      h_cmp = (fun _ _ -> ());
-      depth = 0;
-      prev = 0;
-      hist = Array.make ngram_n 0;
-      pos = 0;
-      regs = Array.make 64 0;
-      top = 0;
-      rolling = 0;
-      sig_h = 0;
-      pruned = pruned_zero;
-      stat_rollbacks = 0;
-      stat_careful_units = 0;
-      stat_chains = 0;
-      stat_chain_blocks = 0;
-      stat_chain_max = 0;
-      stat_dup_instrs = 0;
-    }
-  in
   let path_plans =
     match spec with
     | Sfull Path -> (
@@ -2174,20 +1912,27 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
         | None -> Some (Pathcov.Ball_larus.of_program p.prog))
     | _ -> None
   in
-  let probes =
-    match spec with
-    | Snone -> probes_none
-    | Ssignal -> probes_signal cs
-    | Sfull Block -> probes_block cs
-    | Sfull Edge -> probes_edge cs
-    | Sfull (Ngram n) -> probes_ngram cs n
-    | Sfull Path -> probes_path cs p (Option.get path_plans)
-    | Sfull Pathafl -> probes_pathafl cs p
+  let desc = describe ?plans:path_plans p spec in
+  let st =
+    Pathcov.Probe.state desc p.prog (Pathcov.Coverage_map.create ~size_log2:6 ())
+  in
+  let cs =
+    {
+      st;
+      h_cmp = (fun _ _ -> ());
+      depth = 0;
+      stat_rollbacks = 0;
+      stat_careful_units = 0;
+      stat_chains = 0;
+      stat_chain_blocks = 0;
+      stat_chain_max = 0;
+      stat_dup_instrs = 0;
+    }
   in
   (* A campaign with cmplog off binds a no-op [h_cmp]; eliding the call
      entirely is then unobservable, so such callers compile (and cache)
      a cmp-free variant. *)
-  let probes = { probes with emit_cmp = probes.emit_cmp && cmplog } in
+  let emit_cmp = desc.cmp && cmplog in
   let typing = may_array_analysis p in
   let zeroes = zero_slots_analysis p in
   let fentries = Array.make nfuncs (fun _ _ -> assert false : bfn) in
@@ -2196,14 +1941,15 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
       let env =
         {
           cs;
-          emit_cmp = probes.emit_cmp;
+          desc;
+          emit_cmp;
           lmay = typing.lmay;
           ma = typing.lmay.(fid);
           gma = typing.gmay;
           zeroes;
         }
       in
-      fentries.(fid) <- cfunc env probes p fentries ~fused fid f)
+      fentries.(fid) <- cfunc env p fentries ~fused fid f)
     p.rfuncs;
   let path_universe =
     match path_plans with
@@ -2214,8 +1960,8 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
             let np = plan.Pathcov.Ball_larus.num_paths in
             if np > prune_path_bound then [||]
             else
-              let salt = path_salt p.prog.funcs.(fid) in
-              Array.init np (fun pid -> (pid lxor salt) land max_int))
+              let salt = Pathcov.Probe.path_salt p.prog.funcs.(fid) in
+              Array.init np (fun pid -> Pathcov.Probe.commit_key pid salt))
   in
   {
     prepared = p;
@@ -2225,7 +1971,7 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
     cs;
     fentries;
     main_zero = zeroes.(p.main_id);
-    pruned_zero;
+    pruned_zero = st.pruned;
     pruned_live;
     path_universe;
   }
@@ -2237,7 +1983,7 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
     probe — O(1), so callers may rebind before every execution. *)
 let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
     ~(h_cmp : int -> int -> unit) : unit =
-  t.cs.trace <- trace;
+  t.cs.st.map <- trace;
   t.cs.h_cmp <- h_cmp
 
 (** Reset the baked listener state (the [Feedback.t.reset] analogue);
@@ -2245,21 +1991,15 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
 let reset (t : t) : unit =
   let cs = t.cs in
   cs.depth <- 0;
-  cs.prev <- 0;
-  cs.pos <- 0;
-  let n = Array.length cs.hist in
-  if n > 0 then Array.fill cs.hist 0 n 0;
-  cs.top <- 0;
-  cs.rolling <- 0;
-  cs.sig_h <- 0
+  Pathcov.Probe.reset cs.st
 
 (** The [Ssignal] event-stream hash of the last execution. *)
-let signal (t : t) : int = t.cs.sig_h
+let signal (t : t) : int = !(t.cs.st.signal)
 
 (** Toggle probe self-pruning: [true] installs the live table edited by
     {!prune_fid}, [false] the all-zero table (every probe fires). *)
 let set_pruning (t : t) (on : bool) : unit =
-  t.cs.pruned <- (if on then t.pruned_live else t.pruned_zero)
+  t.cs.st.pruned <- (if on then t.pruned_live else t.pruned_zero)
 
 (** Mark one function's path commits elided (or restore them) in the
     live pruning table. *)

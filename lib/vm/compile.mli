@@ -9,7 +9,7 @@
     Under {!spec} [Snone] no probe code exists at all; under
     [Sfull Path] each CFG edge bakes its resolved Ball–Larus operation
     (or compiles to a direct jump when it carries none), so the per-event
-    dense-table dispatch of the runtime listener disappears along with
+    site-table dispatch of the runtime listener disappears along with
     the interpreter's [rinstr]/[rexpr] match dispatch.
 
     Compiled code executes against the unmodified pooled
@@ -46,7 +46,7 @@ type t
     Ball–Larus register increments folded into one constant-add.
     Observably equivalent to the unfused artifact (same outcomes, crash
     sites, fuel accounting, [blocks_executed], probe event order);
-    enforced by the differential suite. *)
+    enforced by the differential suite. Raises as {!describe}. *)
 val compile :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
@@ -117,10 +117,10 @@ val run_batch :
 (** The signal accumulated by the last [Ssignal] execution. *)
 val signal : t -> int
 
-(** The same hash computed by the interpreter engine: hooks folding
-    each event's tag into [cell]. Reset [cell] to [0] before each
-    execution; precomputed tag tables keep the handlers
-    allocation-free. *)
+(** The same hash computed by the interpreter engine: the hook
+    dispatch {!Pathcov.Feedback.hooks} over {!Pathcov.Probe.signal},
+    folding each event's tag into [cell]. Reset [cell] to [0] before
+    each execution. *)
 val signal_hooks : Interp.prepared -> cell:int ref -> Interp.hooks
 
 (** {2 Probe self-pruning} (only affects [Sfull Path] artifacts)
@@ -196,17 +196,11 @@ val may_array_analysis : Interp.prepared -> typing
     definite-assignment residue left over a pooled [acquire_raw]). *)
 val zero_slots_analysis : Interp.prepared -> int array array
 
-(** The tagged-event-stream mixer tags behind {!signal} /
-    {!signal_hooks}: call entry, block entry and return tags per
-    (fid, block). The mixer itself is
-    [h' = ((h lxor tag) * 0x2545F4914F6CDD1D) land max_int]. *)
-val sig_call_tag : int -> int
-
-val sig_block_tag : int -> int -> int
-val sig_ret_tag : int -> int -> int
-
-(** The per-function salt XOR-folded into every Ball–Larus commit key. *)
-val path_salt : Minic.Ir.func -> int
+(** The probe description a spec bakes in: {!Pathcov.Probe.none},
+    {!Pathcov.Probe.signal} or [Pathcov.Probe.of_mode ?plans mode].
+    Raises [Invalid_argument] as {!Pathcov.Probe.check}. *)
+val describe :
+  ?plans:Pathcov.Ball_larus.program_plans -> Interp.prepared -> spec -> Pathcov.Probe.t
 
 (** The superblock-fusion plan for one resolved function: [Some chain]
     (length >= 2, head first) at every chain head, [None] elsewhere.

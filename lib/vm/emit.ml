@@ -132,171 +132,49 @@ let key_of (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
 
 let lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
-(* String-producing mirror of [Compile]'s probe sets: each generator
-   returns the probe body as a parenthesisable unit statement (or
-   [None] for no probe); [gpe_add]/[gpadd] carry the compile-time
-   Ball–Larus add folding exactly as in the closure engine. *)
-type gprobes = {
-  gpc : int -> string option;
-  gpb : int -> int -> string option;
-  gpe : int -> int -> int -> string option;
-  gpr : int -> int -> string option;
-  gpe_add : int -> int -> int -> int option;
-  gpadd : (int -> string) option;
-  gemit_cmp : bool;
-}
-
-let gprobes_none =
-  {
-    gpc = (fun _ -> None);
-    gpb = (fun _ _ -> None);
-    gpe = (fun _ _ _ -> None);
-    gpr = (fun _ _ -> None);
-    gpe_add = (fun _ _ _ -> Some 0);
-    gpadd = None;
-    gemit_cmp = false;
-  }
-
-let edge_pb fid b =
-  let cur = Pathcov.Feedback.block_key fid b in
-  Some
-    (Printf.sprintf "M.hit !trace (%s lxor !prev); prev := %s" (lit cur)
-       (lit (cur lsr 1)))
-
-let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
-  match spec with
-  | Compile.Snone -> gprobes_none
-  | Compile.Ssignal ->
-      let mix k =
-        Printf.sprintf
-          "sigh := ((!sigh lxor %s) * 0x2545F4914F6CDD1D) land max_int"
-          (lit k)
-      in
-      {
-        gprobes_none with
-        gpc = (fun fid -> Some (mix (Compile.sig_call_tag fid)));
-        gpb = (fun fid b -> Some (mix (Compile.sig_block_tag fid b)));
-        gpr = (fun fid b -> Some (mix (Compile.sig_ret_tag fid b)));
-      }
-  | Compile.Sfull Pathcov.Feedback.Block ->
-      {
-        gprobes_none with
-        gemit_cmp = true;
-        gpb =
-          (fun fid b ->
-            Some
-              (Printf.sprintf "M.hit !trace %s"
-                 (lit (Pathcov.Feedback.block_key fid b))));
-      }
-  | Compile.Sfull Pathcov.Feedback.Edge ->
-      { gprobes_none with gemit_cmp = true; gpb = edge_pb }
-  | Compile.Sfull (Pathcov.Feedback.Ngram n) ->
-      {
-        gprobes_none with
-        gemit_cmp = true;
-        gpb =
-          (fun fid b ->
-            let key = Pathcov.Feedback.block_key fid b in
-            Some
-              (Printf.sprintf
-                 "Array.unsafe_set hist (!pos mod %d) %s; pos := !pos + 1; \
-                  let h = ref 0 in for i = 0 to %d do h := !h lxor \
-                  (Array.unsafe_get hist i lsr (i land 15)) done; M.hit \
-                  !trace !h"
-                 n (lit key) (n - 1)));
-      }
-  | Compile.Sfull Pathcov.Feedback.Path ->
-      let plans =
-        match plans with
-        | Some pl -> pl
-        | None -> Pathcov.Ball_larus.of_program p.prog
-      in
-      let salts = Array.map Compile.path_salt p.prog.funcs in
-      let guard_add k =
-        Printf.sprintf
-          "if !top > 0 then begin let r = !regs in let i = !top - 1 in \
-           Array.unsafe_set r i (Array.unsafe_get r i + %s) end"
-          (lit k)
-      in
-      {
-        gprobes_none with
-        gemit_cmp = true;
-        gpc =
-          (fun _ ->
-            Some
-              "if !top = Array.length !regs then begin let bigger = \
-               Array.make (2 * !top) 0 in Array.blit !regs 0 bigger 0 !top; \
-               regs := bigger end; Array.unsafe_set !regs !top 0; top := \
-               !top + 1");
-        gpe =
-          (fun fid src dst ->
-            match
-              Pathcov.Ball_larus.on_edge
-                plans.Pathcov.Ball_larus.plans.(fid)
-                ~src ~dst
-            with
-            | None -> None
-            | Some (Pathcov.Ball_larus.Add k) -> Some (guard_add k)
-            | Some (Pathcov.Ball_larus.Commit_back { add; reset }) ->
-                Some
-                  (Printf.sprintf
-                     "if !top > 0 then begin let r = !regs in let i = !top \
-                      - 1 in M.hit !trace (((Array.unsafe_get r i + %s) \
-                      lxor %s) land max_int); Array.unsafe_set r i %s end"
-                     (lit add)
-                     (lit salts.(fid))
-                     (lit reset)));
-        gpe_add =
-          (fun fid src dst ->
-            match
-              Pathcov.Ball_larus.on_edge
-                plans.Pathcov.Ball_larus.plans.(fid)
-                ~src ~dst
-            with
-            | None -> Some 0
-            | Some (Pathcov.Ball_larus.Add k) -> Some k
-            | Some (Pathcov.Ball_larus.Commit_back _) -> None);
-        gpadd = Some guard_add;
-        gpr =
-          (fun fid block ->
-            let ra =
-              plans.Pathcov.Ball_larus.plans.(fid).Pathcov.Ball_larus.ret_add.(
-                block)
-            in
-            Some
-              (Printf.sprintf
-                 "if !top > 0 then begin let i = !top - 1 in M.hit !trace \
-                  (((Array.unsafe_get !regs i + %s) lxor %s) land max_int); \
-                  top := i end"
-                 (lit ra)
-                 (lit salts.(fid))));
-      }
-  | Compile.Sfull Pathcov.Feedback.Pathafl ->
-      let nsucc fid src =
-        List.length
-          (Minic.Ir.successors p.prog.funcs.(fid).blocks.(src).Minic.Ir.term)
-      in
-      let key_event k =
-        Printf.sprintf
-          "rolling := (((!rolling lsl 13) lor (!rolling lsr 49)) lxor %s) \
-           land max_int; M.hit !trace !rolling"
-          (lit k)
-      in
-      {
-        gprobes_none with
-        gemit_cmp = true;
-        gpc =
-          (fun fid -> Some (key_event (Pathcov.Feedback.block_key fid 0 + 1)));
-        gpb = edge_pb;
-        gpe =
-          (fun fid src dst ->
-            if nsucc fid src >= 2 then
-              Some
-                (key_event (Pathcov.Feedback.block_key fid src lxor (dst * 31)))
-            else None);
-        gpe_add =
-          (fun fid src _dst -> if nsucc fid src >= 2 then None else Some 0);
-      }
+(* The string interpreter of a {!Pathcov.Probe} description: each op
+   prints as a parenthesisable unit statement over the unit's probe
+   state refs, the same statement [Pathcov.Probe.closure] runs. *)
+let op_src (d : Pathcov.Probe.t) : Pathcov.Probe.op -> string =
+  let module P = Pathcov.Probe in
+  let commit regs add salt =
+    P.commit_key_src
+      (Printf.sprintf "(Array.unsafe_get %s i + %s)" regs (lit add))
+      (lit salt)
+  in
+  function
+  | Hit key -> Printf.sprintf "M.hit !trace %s" (lit key)
+  | Hit_prev cur ->
+      Printf.sprintf "M.hit !trace (%s lxor !prev); prev := %s" (lit cur)
+        (lit (cur lsr 1))
+  | Ngram_push key ->
+      Printf.sprintf
+        "Array.unsafe_set hist (!pos mod %d) %s; pos := !pos + 1; %s; M.hit \
+         !trace !h"
+        d.ngram (lit key) (P.ngram_mix_src "hist" d.ngram)
+  | Roll k ->
+      Printf.sprintf "rolling := %s; M.hit !trace !rolling"
+        (P.roll_src "!rolling" (lit k))
+  | Bl_push ->
+      "if !top = Array.length !regs then begin let bigger = Array.make (2 * \
+       !top) 0 in Array.blit !regs 0 bigger 0 !top; regs := bigger end; \
+       Array.unsafe_set !regs !top 0; top := !top + 1"
+  | Add k ->
+      Printf.sprintf
+        "if !top > 0 then begin let r = !regs in let i = !top - 1 in \
+         Array.unsafe_set r i (Array.unsafe_get r i + %s) end"
+        (lit k)
+  | Commit_back { add; salt; reset } ->
+      Printf.sprintf
+        "if !top > 0 then begin let r = !regs in let i = !top - 1 in M.hit \
+         !trace (%s); Array.unsafe_set r i %s end"
+        (commit "r" add salt) (lit reset)
+  | Pop_commit { add; salt } ->
+      Printf.sprintf
+        "if !top > 0 then begin let i = !top - 1 in M.hit !trace (%s); top \
+         := i end"
+        (commit "!regs" add salt)
+  | Mix k -> Printf.sprintf "sigh := %s" (P.sig_mix_src "!sigh" (lit k))
 
 (* ------------------------------------------------------------------ *)
 (* Source generation: one subject *)
@@ -317,14 +195,14 @@ let rel_of = function
 
 let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     (p : prepared) (spec : Compile.spec) : unit =
-  let gp = gprobes_of ?plans p spec in
-  let gp = { gp with gemit_cmp = gp.gemit_cmp && cmplog } in
+  let desc = Compile.describe ?plans p spec in
+  let emit_cmp = desc.cmp && cmplog in
+  (* Each site's probe statement, parenthesised with its trailing
+     separator, or [""] where the site carries none. *)
+  let stmt = function None -> "" | Some op -> "(" ^ op_src desc op ^ ");\n" in
   let typing = Compile.may_array_analysis p in
   let zeroes = Compile.zero_slots_analysis p in
   let gma = typing.Compile.gmay in
-  let ngram_n =
-    match spec with Compile.Sfull (Pathcov.Feedback.Ngram n) -> n | _ -> 0
-  in
   let nextv = ref 0 in
   let fresh () =
     incr nextv;
@@ -392,7 +270,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           Printf.sprintf "(let %s = %s in let %s = %s in %sif %s %s %s then \
                           1 else 0)"
             a (exp e1) b (exp e2)
-            (if gp.gemit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
+            (if emit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
              else "")
             a (rel_of op) b
       | Rneg e -> Printf.sprintf "(- %s)" (exp e)
@@ -456,7 +334,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           let a = fresh () and b = fresh () in
           Printf.sprintf "(let %s = %s in let %s = %s in %s%s %s %s)" a
             (exp e1) b (exp e2)
-            (if gp.gemit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
+            (if emit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
              else "")
             a (rel_of op) b
       | Rnot e -> Printf.sprintf "(%s = 0)" (exp e)
@@ -613,15 +491,11 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     let term_code (label : int) (t : rterm) : string =
       match t with
       | Rgoto l ->
-          (match gp.gpe fid label l with
-          | None -> ""
-          | Some pr -> "(" ^ pr ^ ");\n")
+          stmt (desc.edge fid label l)
           ^ Printf.sprintf "b_%d_%d ctx fr" fid l
       | Rbranch (c, tl, fl, _site) ->
           let arm target =
-            (match gp.gpe fid label target with
-            | None -> ""
-            | Some pr -> "(" ^ pr ^ ");\n")
+            stmt (desc.edge fid label target)
             ^ Printf.sprintf "b_%d_%d ctx fr" fid target
           in
           Printf.sprintf "if %s then begin\n%s\nend\nelse begin\n%s\nend"
@@ -629,18 +503,16 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       | Rret (e, _site) -> (
           ret_stmt e
           ^
-          match gp.gpr fid label with
+          match desc.ret fid label with
           | None -> ""
-          | Some pr -> ";\n(" ^ pr ^ ")")
+          | Some op -> ";\n(" ^ op_src desc op ^ ")")
     in
     let fast_text seg =
       let bb = Buffer.create 256 in
       let pending_add = ref 0 in
       let flush () =
         if !pending_add <> 0 then begin
-          (match gp.gpadd with
-          | Some fmt -> Buffer.add_string bb ("(" ^ fmt !pending_add ^ ");\n")
-          | None -> assert false);
+          Buffer.add_string bb (stmt (Some (Add !pending_add)));
           pending_add := 0
         end
       in
@@ -648,18 +520,15 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
         (function
           | Eentry b ->
               Buffer.add_string bb "ctx.I.blocks <- ctx.I.blocks + 1;\n";
-              (match gp.gpb fid b with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+              Buffer.add_string bb (stmt (desc.block fid b))
           | Einstr i -> Buffer.add_string bb (instr_stmt i ^ ";\n")
           | Eedge (s, d) -> (
-              match gp.gpe_add fid s d with
+              let op = desc.edge fid s d in
+              match Pathcov.Probe.fold_add op with
               | Some k -> pending_add := !pending_add + k
-              | None -> (
+              | None ->
                   flush ();
-                  match gp.gpe fid s d with
-                  | None -> ()
-                  | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n")))
+                  Buffer.add_string bb (stmt op))
           | Ecall _ -> assert false)
         seg;
       flush ();
@@ -674,18 +543,13 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
                 "ctx.I.fuel <- ctx.I.fuel - 1;\n\
                  if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n\
                  ctx.I.blocks <- ctx.I.blocks + 1;\n";
-              (match gp.gpb fid b with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+              Buffer.add_string bb (stmt (desc.block fid b))
           | Einstr i ->
               Buffer.add_string bb
                 "ctx.I.fuel <- ctx.I.fuel - 1;\n\
                  if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n";
               Buffer.add_string bb (instr_stmt i ^ ";\n")
-          | Eedge (s, d) -> (
-              match gp.gpe fid s d with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+          | Eedge (s, d) -> Buffer.add_string bb (stmt (desc.edge fid s d))
           | Ecall _ -> assert false)
         seg;
       Buffer.contents bb
@@ -767,7 +631,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
          "if !depth > ctx.I.max_depth then raise (I.Crash_exn \
           (C.Stack_overflow, (-1)));\n\
           %sb_%d_0 ctx fr"
-         (match gp.gpc fid with None -> "" | Some pr -> "(" ^ pr ^ ");\n")
+         (stmt (desc.call fid))
          fid);
     let plan = Compile.fusion_plan f in
     Array.iteri
@@ -783,7 +647,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   Printf.bprintf buf "let hcmp = ref (fun (_ : int) (_ : int) -> ()) in\n";
   Printf.bprintf buf "let depth = ref 0 in\n";
   Printf.bprintf buf "let prev = ref 0 in\n";
-  Printf.bprintf buf "let hist = Array.make %d 0 in\n" ngram_n;
+  Printf.bprintf buf "let hist = Array.make %d 0 in\n" desc.ngram;
   Printf.bprintf buf "let pos = ref 0 in\n";
   Printf.bprintf buf "let regs = ref (Array.make 64 0) in\n";
   Printf.bprintf buf "let top = ref 0 in\n";
@@ -809,7 +673,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     \  Vm.Emit.r_signal = (fun () -> !sigh);\n\
     \  Vm.Emit.r_enter = (fun ctx -> let fr = I.acquire_raw ctx %d in \
      %sf_%d ctx fr) })\n\n"
-    (if ngram_n > 0 then Printf.sprintf "Array.fill hist 0 %d 0; " ngram_n
+    (if desc.ngram > 0 then Printf.sprintf "Array.fill hist 0 %d 0; " desc.ngram
      else "")
     p.main_id zero_main p.main_id
 
@@ -818,6 +682,19 @@ let header =
    module I = Vm.Interp\n\
    module C = Vm.Crash\n\
    module M = Pathcov.Coverage_map\n\n"
+
+(* The text of one compilation unit holding [entries]. *)
+let unit_source entries =
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf header;
+  List.iter
+    (fun (key, p, spec, cmplog, plans) ->
+      gen_subject buf ~key ?plans ~cmplog p spec)
+    entries;
+  Buffer.contents buf
+
+let source ?plans ?(cmplog = true) p spec =
+  unit_source [ (key_of p spec cmplog, p, spec, cmplog, plans) ]
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process compilation *)
@@ -955,17 +832,11 @@ let build_unit ~(gkey : string)
     Error (Printf.sprintf "emit cache dir not writable: %s" dir)
   else begin
     let modbase = "pf_emit_" ^ gkey in
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf header;
-    List.iter
-      (fun (key, p, spec, cmplog, plans) ->
-        gen_subject buf ~key ?plans ~cmplog p spec)
-      entries;
     let src = Filename.concat tmp (modbase ^ ".ml") in
     let res =
       try
         let oc = open_out_bin src in
-        output_string oc (Buffer.contents buf);
+        output_string oc (unit_source entries);
         close_out oc;
         let t0 = Unix.gettimeofday () in
         let r = compile_source ~tmp ~modbase in
@@ -1046,6 +917,7 @@ let maker_for ?plans ~cmplog (p : prepared) (spec : Compile.spec) :
 
 let instance ?plans ?(cmplog = true) (p : prepared) (spec : Compile.spec) :
     (t, string) result =
+  (match spec with Compile.Sfull m -> Pathcov.Probe.check m | _ -> ());
   if forced_fail () then Error "disabled by PATHFUZZ_EMIT_FAIL"
   else
     locked (fun () ->

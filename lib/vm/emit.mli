@@ -40,8 +40,21 @@ val set_cache_dir : string -> unit
 val cache_dir : unit -> string
 
 (** Bumped whenever generated code changes shape; part of the cache
-    key, so stale artifacts from older emitters are never loaded. *)
+    key, so stale artifacts from older emitters are never loaded. The
+    key hashes the IR, spec and toolchain but not the templates, so
+    every change to the emitted text — here or in the
+    {!Pathcov.Probe} source twins — must bump it; a test pins the
+    {!source} digests to catch a forgotten bump. *)
 val emitter_version : int
+
+(** The OCaml source {!instance} compiles for one [(prepared, spec,
+    cmplog)] triple when its cache misses, byte for byte. *)
+val source :
+  ?plans:Pathcov.Ball_larus.program_plans ->
+  ?cmplog:bool ->
+  Interp.prepared ->
+  Compile.spec ->
+  string
 
 (** {2 Instantiation} *)
 
@@ -52,7 +65,8 @@ val emitter_version : int
     returns an instance with private mutable probe state, so distinct
     shards/domains each take their own. All failures (no compiler,
     compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) come
-    back as [Error reason]. *)
+    back as [Error reason]; an invalid mode raises [Invalid_argument]
+    as {!Pathcov.Probe.check}. *)
 val instance :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->

@@ -189,6 +189,105 @@ let test_path_feedback_survives_crash () =
   let t = run_with_feedback fb prog "x" in
   check Alcotest.bool "clean run commits" true (t <> [])
 
+(* What each mode records, pinned independently of the engines: the
+   interpreters all read one probe description, so the differential
+   suites cannot see a change to the description itself. Digest of the
+   interp-engine trace (sorted index:count pairs per seed) per mode, and
+   of the selective-tracing signal per seed, over cflow's and sqlite3's
+   seeds. *)
+let semantics_pins =
+  [
+    ( "cflow",
+      [
+        (Pathcov.Feedback.Block, "ea8f20d7b7283a0f4886d237077beff5");
+        (Pathcov.Feedback.Edge, "b060b745292d4b91d671359265b7caee");
+        (Pathcov.Feedback.Ngram 2, "74f2d79f65485345837630624d002d6f");
+        (Pathcov.Feedback.Ngram 4, "a2402cd1fd6bbcdd620bbd3deb4d8b25");
+        (Pathcov.Feedback.Path, "148fe1d290010adba77105b99fd659c5");
+        (Pathcov.Feedback.Pathafl, "9d53a8e0a03cafe660f3178bb0a6ef5d");
+      ],
+      "cba7e068e0117931bf521db5ab7350d3" );
+    ( "sqlite3",
+      [
+        (Pathcov.Feedback.Block, "a688148ba75e1b92bcf2fd4c756dffcc");
+        (Pathcov.Feedback.Edge, "6c885ab7c1004561e136e6b623bd455c");
+        (Pathcov.Feedback.Ngram 2, "22b08f1c42475a446c2673fd5cca1a5b");
+        (Pathcov.Feedback.Ngram 4, "951edca5535ddfddf30b375459894983");
+        (Pathcov.Feedback.Path, "f83cfa032e69075baa1c23e376ecfb3d");
+        (Pathcov.Feedback.Pathafl, "e1b832f4ec132c6a10b4778781049e5e");
+      ],
+      "00be8d5656f8a30351fa7893a3b97371" );
+  ]
+
+let test_mode_semantics_pinned () =
+  List.iter
+    (fun (name, modes, signal_pin) ->
+      let s = Subjects.Registry.find_exn name in
+      let prog = Subjects.Subject.program s in
+      let digest f =
+        let b = Buffer.create 4096 in
+        List.iter (fun input -> f b input) s.seeds;
+        Digest.to_hex (Digest.string (Buffer.contents b))
+      in
+      List.iter
+        (fun (mode, pin) ->
+          let fb = Pathcov.Feedback.make mode prog in
+          let hooks =
+            {
+              Vm.Interp.no_hooks with
+              h_call = fb.on_call;
+              h_block = fb.on_block;
+              h_edge = fb.on_edge;
+              h_ret = fb.on_ret;
+            }
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s/%s trace digest" name
+               (Pathcov.Feedback.mode_name mode))
+            pin
+            (digest (fun b input ->
+                 fb.reset ();
+                 Cm.clear fb.trace;
+                 ignore (Vm.Interp.run ~hooks prog ~input);
+                 Array.iter
+                   (fun i -> Printf.bprintf b "%d:%d;" i (Cm.get fb.trace i))
+                   (Cm.sorted_indices fb.trace);
+                 Buffer.add_char b '|')))
+        modes;
+      let prepared = Vm.Interp.prepare prog in
+      let cell = ref 0 in
+      let ctx =
+        Vm.Interp.create_ctx
+          ~hooks:(Vm.Compile.signal_hooks prepared ~cell)
+          prepared
+      in
+      check Alcotest.string (name ^ " signal digest") signal_pin
+        (digest (fun b input ->
+             cell := 0;
+             ignore (Vm.Interp.run_ctx ctx ~input);
+             Printf.bprintf b "%d;" !cell)))
+    semantics_pins
+
+(* [Ngram n] needs n >= 2; every engine refuses anything else at
+   construction instead of failing (or silently running) later. *)
+let test_ngram_validated () =
+  let prog = Minic.Lower.compile two_diamond_src in
+  let prepared = Vm.Interp.prepare prog in
+  List.iter
+    (fun n ->
+      let mode = Pathcov.Feedback.Ngram n in
+      let raises what f =
+        match f () with
+        | _ -> fail (Printf.sprintf "%s accepted ngram%d" what n)
+        | exception Invalid_argument _ -> ()
+      in
+      raises "Feedback.make" (fun () -> ignore (Pathcov.Feedback.make mode prog));
+      raises "Compile.compile" (fun () ->
+          ignore (Vm.Compile.compile prepared (Vm.Compile.Sfull mode)));
+      raises "Emit.instance" (fun () ->
+          ignore (Vm.Emit.instance prepared (Vm.Compile.Sfull mode))))
+    [ 0; 1 ]
+
 let prop_feedback_deterministic =
   QCheck.Test.make ~count:60 ~name:"listeners are deterministic"
     (QCheck.pair Gen.arbitrary_ir Gen.arbitrary_input)
@@ -221,6 +320,10 @@ let suite =
         Alcotest.test_case "ngram and pathafl smoke" `Quick test_ngram_and_pathafl_smoke;
         Alcotest.test_case "path feedback survives crash" `Quick
           test_path_feedback_survives_crash;
+        Alcotest.test_case "mode semantics pinned" `Quick
+          test_mode_semantics_pinned;
+        Alcotest.test_case "invalid ngram rejected by every engine" `Quick
+          test_ngram_validated;
       ] );
     ( "coverage-properties",
       List.map QCheck_alcotest.to_alcotest

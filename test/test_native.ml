@@ -374,6 +374,61 @@ let test_native_forced_fail () =
   Unix.putenv "PATHFUZZ_EMIT_FAIL" "";
   check_bool "forced failure yields Error" true (Result.is_error r)
 
+(* --- emitted-source pin: the cache key covers the IR, spec, cmplog,
+   toolchain and [Emit.emitter_version] but not the template text, so a
+   template change that forgets the version bump would load stale
+   artifacts from a warm cache. Pin the source cflow emits per spec and
+   cmplog; the embedded cache key (which hashes the marshalled IR and
+   the compiler version) is masked so the pin holds on any toolchain. *)
+
+let mask_key src =
+  let marker = "Vm.Emit.register ~key:\"" in
+  let m = String.length marker in
+  let rec find i =
+    if i + m > String.length src then None
+    else if String.sub src i m = marker then Some (i + m)
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> src
+  | Some k ->
+      let e = String.index_from src k '"' in
+      String.sub src 0 k ^ "KEY" ^ String.sub src e (String.length src - e)
+
+let emit_pins =
+  [
+    ("none", "59f53019be0d6aff6a52b52516efe677", "59f53019be0d6aff6a52b52516efe677");
+    ("signal", "77e40800811ee0544106c7ed78a3ef66", "77e40800811ee0544106c7ed78a3ef66");
+    ("block", "d3ba8b79f08fd8e2fb29b8cc411545b1", "1a7f7fa59f1c03eb78b8aef30dc6f3a9");
+    ("edge", "925c027914b94da47e3db30a32463387", "e0f9262655e66b05377fd5259179c5ff");
+    ("ngram4", "ac10c02dd6be87f8a97e2bb9d04f3589", "9fd5225b915e6137c0af6279392542e9");
+    ("path", "1c9212a95dc5ba5e7aace90462f33dec", "10b6091e7e136a8eb883d97b92fdd5a7");
+    ("pathafl", "9cfa21058fdda0570a5fd94960be1d16", "81c107e913b71196e594cd68c8bdb1f8");
+  ]
+
+let test_emit_source_pinned () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prepared = Vm.Interp.prepare (Subjects.Subject.program s) in
+  let specs =
+    Vm.Compile.Snone :: Vm.Compile.Ssignal
+    :: List.map (fun m -> Vm.Compile.Sfull m) all_modes
+  in
+  List.iter2
+    (fun spec (name, on, off) ->
+      check Alcotest.string "spec order" name (Vm.Compile.spec_name spec);
+      List.iter
+        (fun (cmplog, want) ->
+          let src = Vm.Emit.source ~cmplog prepared spec in
+          check Alcotest.string
+            (Printf.sprintf
+               "cflow/%s cmplog=%b source digest (emitted text changed: bump \
+                Vm.Emit.emitter_version, then update this pin)"
+               name cmplog)
+            want
+            (Digest.to_hex (Digest.string (mask_key src))))
+        [ (true, on); (false, off) ])
+    specs emit_pins
+
 let suite =
   [
     ( "native",
@@ -392,5 +447,7 @@ let suite =
           test_native_cache_hit;
         Alcotest.test_case "PATHFUZZ_EMIT_FAIL forces clean failure" `Quick
           test_native_forced_fail;
+        Alcotest.test_case "emitted source pinned per spec" `Quick
+          test_emit_source_pinned;
       ] );
   ]
