@@ -33,7 +33,10 @@ history: build
 # Resume-determinism smoke: an interrupted-and-resumed campaign must
 # print byte-identical results to the uninterrupted one — sequentially,
 # and from a 2-shard snapshot resumed single-sharded (barriers are
-# functions of (seed, sync_interval), not the shard count).
+# functions of (seed, sync_interval), not the shard count). Each cell
+# runs under afl and pathafl; pathafl fills thousands of top-rated
+# slots, so its snapshots round-trip a large table. cflow/pathafl's
+# first queue cycle runs ~59k execs, hence its sequential budget.
 resume-check: build
 	@rm -rf _build/resume-check && mkdir -p _build/resume-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f afl -b 4000 \
@@ -56,6 +59,27 @@ resume-check: build
 	  > _build/resume-check/sh-resumed.out
 	diff _build/resume-check/sh-straight.out _build/resume-check/sh-ckpt.out
 	diff _build/resume-check/sh-straight.out _build/resume-check/sh-resumed.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 70000 \
+	  > _build/resume-check/pathafl-straight.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 70000 \
+	  --checkpoint _build/resume-check/pathafl-seq.ckpt --checkpoint-every 20000 \
+	  > _build/resume-check/pathafl-ckpt.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 70000 \
+	  --resume _build/resume-check/pathafl-seq.ckpt \
+	  > _build/resume-check/pathafl-resumed.out
+	diff _build/resume-check/pathafl-straight.out _build/resume-check/pathafl-ckpt.out
+	diff _build/resume-check/pathafl-straight.out _build/resume-check/pathafl-resumed.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 4000 \
+	  --shards 2 --sync-interval 512 > _build/resume-check/pathafl-sh-straight.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 4000 \
+	  --shards 2 --sync-interval 512 \
+	  --checkpoint _build/resume-check/pathafl-sh.ckpt --checkpoint-every 2500 \
+	  > _build/resume-check/pathafl-sh-ckpt.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f pathafl -b 4000 \
+	  --shards 1 --sync-interval 512 --resume _build/resume-check/pathafl-sh.ckpt \
+	  > _build/resume-check/pathafl-sh-resumed.out
+	diff _build/resume-check/pathafl-sh-straight.out _build/resume-check/pathafl-sh-ckpt.out
+	diff _build/resume-check/pathafl-sh-straight.out _build/resume-check/pathafl-sh-resumed.out
 	@echo "resume-check: straight, checkpointed and resumed runs identical"
 
 # Engine-determinism smoke: the staged-compilation engine (with and

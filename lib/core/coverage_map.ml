@@ -18,6 +18,9 @@ type t = {
   mask : int;
   mutable touched : int array;  (** indices with non-zero count, unordered *)
   mutable ntouched : int;
+  passes : int;  (** 8-bit radix passes covering an index: ⌈size_log2/8⌉ *)
+  counts : int array;  (** radix digit counts, 256 slots *)
+  mutable scratch : int array;  (** radix ping-pong buffer, ≥ ntouched *)
 }
 
 type novelty =
@@ -30,7 +33,15 @@ let default_size_log2 = 16
 let create ?(size_log2 = default_size_log2) () =
   if size_log2 < 4 || size_log2 > 24 then invalid_arg "Coverage_map.create";
   let size = 1 lsl size_log2 in
-  { bits = Bytes.make size '\000'; mask = size - 1; touched = Array.make 256 0; ntouched = 0 }
+  {
+    bits = Bytes.make size '\000';
+    mask = size - 1;
+    touched = Array.make 256 0;
+    ntouched = 0;
+    passes = (size_log2 + 7) / 8;
+    counts = Array.make 256 0;
+    scratch = [||];
+  }
 
 let size t = Bytes.length t.bits
 
@@ -156,23 +167,23 @@ let merge_sparse_into ~(virgin : t) ~(idxs : int array) ~(vals : int array) :
   done;
   !res
 
-(** Would {!merge_sparse_into} report novelty against [virgin]? A pure
-    check — the virgin map is not written. Selective shard loops use it
-    to decide whether a novelty signal may enter the permanently-seen
-    set: only coverage already folded into the epoch-start global map is
+(** Would {!merge_into} report novelty for [trace] against [virgin]? A
+    pure check over the trace's journal — the virgin map is not written
+    and nothing is sorted or allocated. Selective shard loops use it to
+    decide whether a novelty signal may enter the permanently-seen set:
+    only coverage already folded into the epoch-start global map is
     monotonically non-novel for the rest of the run. *)
-let sparse_would_merge ~(virgin : t) ~(idxs : int array) ~(vals : int array) :
-    bool =
-  if Array.length idxs <> Array.length vals then
-    invalid_arg "Coverage_map.sparse_would_merge";
-  let n = Array.length idxs in
+let would_merge ~(virgin : t) (trace : t) : bool =
+  if Bytes.length virgin.bits <> Bytes.length trace.bits then
+    invalid_arg "Coverage_map.would_merge";
   let rec go k =
-    k < n
-    && (Array.unsafe_get vals k
-        land Char.code
-              (Bytes.unsafe_get virgin.bits (Array.unsafe_get idxs k land virgin.mask))
-        <> 0
-       || go (k + 1))
+    k < trace.ntouched
+    &&
+    let i = Array.unsafe_get trace.touched k in
+    Char.code (Bytes.unsafe_get trace.bits i)
+    land Char.code (Bytes.unsafe_get virgin.bits i)
+    <> 0
+    || go (k + 1)
   in
   go 0
 
@@ -200,13 +211,51 @@ let bytes_hash (t : t) : int =
 (** Number of indices hit in a trace (AFL's [count_bytes]). *)
 let count_set t = t.ntouched
 
-(** Indices hit in a trace, ascending, as a fresh array: the journal
-    slice is copied once and sorted in place — no list-sort-then-array
-    detour on the retention path. *)
+(* One stable counting pass of the LSD radix sort: the first [n] keys of
+   [src], ordered by their 8-bit digit at [shift], into [dst]. *)
+let radix_pass counts ~shift (src : int array) (dst : int array) n =
+  Array.fill counts 0 256 0;
+  for k = 0 to n - 1 do
+    let d = (Array.unsafe_get src k lsr shift) land 255 in
+    Array.unsafe_set counts d (Array.unsafe_get counts d + 1)
+  done;
+  let sum = ref 0 in
+  for d = 0 to 255 do
+    let c = Array.unsafe_get counts d in
+    Array.unsafe_set counts d !sum;
+    sum := !sum + c
+  done;
+  for k = 0 to n - 1 do
+    let v = Array.unsafe_get src k in
+    let d = (v lsr shift) land 255 in
+    let at = Array.unsafe_get counts d in
+    Array.unsafe_set dst at v;
+    Array.unsafe_set counts d (at + 1)
+  done
+
+(** Indices hit in a trace, ascending, as a fresh array. An LSD radix
+    sort over 8-bit digits: [passes] counting passes ping-pong between
+    the map's scratch buffer and the result, routed so the last one
+    lands in the result. Indices are below the map size, so the digits
+    cover every key; the journal is read, never reordered, and the
+    result array is the only allocation in steady state. The count array
+    and scratch buffer belong to the map, so traces sorted concurrently
+    on different domains share nothing. *)
 let sorted_indices t =
-  let a = Array.sub t.touched 0 t.ntouched in
-  Array.sort Int.compare a;
-  a
+  let n = t.ntouched in
+  let out = Array.make n 0 in
+  if n > 0 then begin
+    if Array.length t.scratch < n then
+      t.scratch <- Array.make (Array.length t.touched) 0;
+    let src = ref t.touched in
+    let dst = ref (if t.passes land 1 = 1 then out else t.scratch) in
+    for p = 0 to t.passes - 1 do
+      radix_pass t.counts ~shift:(8 * p) !src !dst n;
+      src := !dst;
+      dst := if !dst == out then t.scratch else out
+    done
+  end;
+  out
 
 (** Indices hit in a trace, ascending (list wrapper over
     {!sorted_indices}, kept for renderers and tests). *)
@@ -221,10 +270,11 @@ let iteri_set f t =
 
 let copy t =
   {
+    t with
     bits = Bytes.copy t.bits;
-    mask = t.mask;
     touched = Array.copy t.touched;
-    ntouched = t.ntouched;
+    counts = Array.make 256 0;
+    scratch = [||];
   }
 
 (** Read the raw byte at a map index (tests and diagnostics). *)

@@ -57,10 +57,11 @@ val restore_raw : t -> bytes -> unit
     deterministic order at the sync barrier. *)
 val merge_sparse_into : virgin:t -> idxs:int array -> vals:int array -> novelty
 
-(** Would {!merge_sparse_into} report novelty? Pure — the virgin map is
-    not written. Selective shard loops consult it before promoting a
-    novelty signal to the permanently-seen set. *)
-val sparse_would_merge : virgin:t -> idxs:int array -> vals:int array -> bool
+(** Would {!merge_into} report novelty for a trace? Pure — the virgin
+    map is not written, the trace is not sorted. Selective shard loops
+    consult it before promoting a novelty signal to the permanently-seen
+    set. *)
+val would_merge : virgin:t -> t -> bool
 
 (** Classified bytes of a trace at the given indices (pairs with
     {!sorted_indices} to form the sparse capture above). *)
@@ -76,9 +77,11 @@ val bytes_hash : t -> int
 (** Number of indices hit (AFL's [count_bytes]). *)
 val count_set : t -> int
 
-(** Indices hit, ascending, as a fresh array (the journal slice sorted
-    in place — the allocation-lean form used on the fuzzer's retention
-    path). *)
+(** Indices hit, ascending, as a fresh array — the form the fuzzer's
+    retention path records. An LSD radix sort over 8-bit digits
+    (⌈size_log2/8⌉ passes) through buffers the map owns: the result
+    array is the only allocation, and the journal order (hence
+    {!clear}, {!classify} and {!merge_into}) is left untouched. *)
 val sorted_indices : t -> int array
 
 (** Indices hit, ascending (list wrapper over {!sorted_indices}, kept

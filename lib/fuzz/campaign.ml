@@ -80,7 +80,7 @@ type queue_state = {
 let make_queue_state (obs : Obs.Observer.t) (cfg : config) : queue_state =
   {
     cfg;
-    corpus = Corpus.create ();
+    corpus = Corpus.create ~size_log2:cfg.map_size_log2 ();
     virgin = Pathcov.Coverage_map.create_virgin ~size_log2:cfg.map_size_log2 ();
     crash_virgin =
       Pathcov.Coverage_map.create_virgin ~size_log2:cfg.map_size_log2 ();
@@ -119,14 +119,14 @@ let start_cycle (q : queue_state) ~(at_exec : int) : unit =
   let fav = ref 0 in
   Corpus.iter (fun e -> if e.favored then incr fav) q.corpus;
   c.favored <- !fav;
-  c.pending_favored <- q.corpus.pending_favored;
+  c.pending_favored <- Corpus.pending_favored q.corpus;
   Obs.Observer.event q.obs
     (Obs.Event.Favored_cycle
        {
          at_exec;
          queue = Corpus.size q.corpus;
          favored = !fav;
-         pending = q.corpus.pending_favored;
+         pending = Corpus.pending_favored q.corpus;
        })
 
 (* Queue-capacity bookkeeping for one evaluated finished exec. The
@@ -558,7 +558,10 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
       let e = Corpus.get q.corpus qi in
       if
         q.execs < config.budget
-        && not (entry_skip st.rng ~pending_favored:q.corpus.pending_favored e)
+        && not
+             (entry_skip st.rng
+                ~pending_favored:(Corpus.pending_favored q.corpus)
+                e)
       then begin
         let cmps = if config.cmplog then calibrate st e else [||] in
         let n = entry_energy ~budget:config.budget e in
@@ -575,7 +578,7 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
             st.havocs <- st.havocs + 1;
             Executor.candidate ex st.rng ~cmps
               ?splice_with:
-                (Executor.splice_peer st.rng q.corpus.arr
+                (Executor.splice_peer st.rng (Corpus.entries q.corpus)
                    ~n:(Corpus.size q.corpus) e)
               e.data
           in

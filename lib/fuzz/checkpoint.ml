@@ -149,12 +149,6 @@ let capture ~(id : config_id) ~(progress : progress)
           e_times_fuzzed = e.Corpus.times_fuzzed;
         })
   in
-  let top_rated =
-    Hashtbl.fold
-      (fun idx (e : Corpus.entry) acc -> (idx, e.Corpus.id) :: acc)
-      corpus.Corpus.top_rated []
-    |> List.sort compare |> Array.of_list
-  in
   let rec_of (r : Triage.record) =
     { x_crash = r.Triage.crash; x_input = r.Triage.input; x_at_exec = r.Triage.at_exec }
   in
@@ -172,9 +166,9 @@ let capture ~(id : config_id) ~(progress : progress)
     virgin = Pathcov.Coverage_map.raw_bytes virgin;
     crash_virgin = Pathcov.Coverage_map.raw_bytes crash_virgin;
     entries;
-    next_entry_id = corpus.Corpus.next_id;
-    pending_favored = corpus.Corpus.pending_favored;
-    top_rated;
+    next_entry_id = Corpus.size corpus;
+    pending_favored = Corpus.pending_favored corpus;
+    top_rated = Corpus.top_rated_pairs corpus;
     counters = counters_copy;
     snapshots = Array.of_list snapshots;
     triage =
@@ -192,13 +186,16 @@ let capture ~(id : config_id) ~(progress : progress)
 (* ------------------------------------------------------------------ *)
 (* Restore *)
 
-(** Rebuild the captured queue into [corpus] (normally fresh): entries in
-    discovery order with their metadata, favored flags, the top-rated
-    table and the pending-favored count — everything the scheduler and
-    the incremental [claim_top_rated] path read. *)
+(** Rebuild the captured queue into [corpus], which must be empty:
+    entries in discovery order with their metadata, favored flags, the
+    top-rated table and the pending-favored count — everything the
+    scheduler and the incremental [claim_top_rated] path read. Re-added
+    entries get ids equal to their positions, which {!of_string} has
+    checked equal the captured ids, so the table's ids resolve to the
+    same entries. *)
 let restore_corpus_into (ck : t) (corpus : Corpus.t) : unit =
-  corpus.Corpus.size <- 0;
-  Hashtbl.reset corpus.Corpus.top_rated;
+  if Corpus.size corpus <> 0 then
+    invalid_arg "Checkpoint.restore_corpus_into: corpus not empty";
   Array.iter
     (fun (er : entry_rec) ->
       let e =
@@ -209,15 +206,7 @@ let restore_corpus_into (ck : t) (corpus : Corpus.t) : unit =
       e.Corpus.favored <- er.e_favored;
       e.Corpus.times_fuzzed <- er.e_times_fuzzed)
     ck.entries;
-  corpus.Corpus.next_id <- ck.next_entry_id;
-  corpus.Corpus.pending_favored <- ck.pending_favored;
-  let by_id = Hashtbl.create (max 16 (Array.length ck.entries)) in
-  Corpus.iter (fun e -> Hashtbl.replace by_id e.Corpus.id e) corpus;
-  Array.iter
-    (fun (idx, eid) ->
-      match Hashtbl.find_opt by_id eid with
-      | Some e -> Hashtbl.replace corpus.Corpus.top_rated idx e
-      | None -> invalid_arg "Checkpoint.restore_corpus_into: dangling entry id")
+  Corpus.restore_top_rated corpus ~pending_favored:ck.pending_favored
     ck.top_rated
 
 (** Refill [triage] (normally fresh) from the captured record. Counters
@@ -691,11 +680,24 @@ let parse_payload (src : string) ~pos ~limit : t =
     raise (Corrupt "virgin map length disagrees with map_size_log2");
   if Bytes.length crash_virgin <> expect_map_len then
     raise (Corrupt "crash-virgin map length disagrees with map_size_log2");
-  let ids = Hashtbl.create (max 16 n_entries) in
-  Array.iter (fun (e : entry_rec) -> Hashtbl.replace ids e.e_id ()) entries;
-  Array.iter
-    (fun (_, eid) ->
-      if not (Hashtbl.mem ids eid) then
+  let in_map i = i >= 0 && i < expect_map_len in
+  Array.iteri
+    (fun i (e : entry_rec) ->
+      if e.e_id <> i then
+        raise (Corrupt (Printf.sprintf "entry %d has id %d" i e.e_id));
+      if not (Array.for_all in_map e.e_indices) then
+        raise
+          (Corrupt (Printf.sprintf "entry %d covers an index outside the map" i)))
+    entries;
+  if next_entry_id <> n_entries then
+    raise (Corrupt "next entry id disagrees with the entry count");
+  Array.iteri
+    (fun k (idx, eid) ->
+      if not (in_map idx) then
+        raise (Corrupt (Printf.sprintf "top-rated index %d outside the map" idx));
+      if k > 0 && fst top_rated.(k - 1) >= idx then
+        raise (Corrupt "top-rated indices not strictly ascending");
+      if eid < 0 || eid >= n_entries then
         raise (Corrupt (Printf.sprintf "top-rated refers to unknown entry %d" eid)))
     top_rated;
   {

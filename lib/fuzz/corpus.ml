@@ -10,12 +10,19 @@
     scheduler's favored-skip logic.
 
     The queue is a growable array in discovery order rather than a list:
-    entries are never removed, so an index is a stable identity, random
-    peers are O(1) lookups instead of [List.nth] walks (quadratic over a
-    campaign as the queue grows), and the cycle scheduler snapshots the
-    queue by remembering its length. [fav_factor] is cached per entry at
-    admission — data and cost never change — so the greedy set-cover pass
-    stops recomputing it per covered index. *)
+    entries are never removed, so an entry's [id] {e is} its queue
+    position — a stable identity, random peers are O(1) lookups instead
+    of [List.nth] walks (quadratic over a campaign as the queue grows),
+    and the cycle scheduler snapshots the queue by remembering its
+    length. [fav_factor] is cached per entry at admission — data and
+    cost never change — so the greedy set-cover pass stops recomputing
+    it per covered index.
+
+    The top-rated table is afl's [top_rated[MAP_SIZE]]: a flat [Bytes]
+    of one int32 slot per map index (4 B per slot, 256 KB at the default
+    2^16 map) naming the cheapest entry by position. A claim is one slot
+    read and one [fav] compare per covered index, with no hashing and no
+    allocation. *)
 
 type entry = {
   id : int;
@@ -32,17 +39,19 @@ type entry = {
 type t = {
   mutable arr : entry array;  (** slots [0, size), discovery order *)
   mutable size : int;
-  mutable next_id : int;
-  top_rated : (int, entry) Hashtbl.t;  (** map index -> cheapest entry *)
+  top_rated : Bytes.t;
+      (** afl's top_rated[MAP_SIZE]: one native-endian int32 slot per map
+          index holding 1 + the queue position of the cheapest entry
+          covering it, 0 while unclaimed *)
   mutable pending_favored : int;
 }
 
-let create () =
+let create ?(size_log2 = Pathcov.Coverage_map.default_size_log2) () =
+  if size_log2 < 4 || size_log2 > 24 then invalid_arg "Corpus.create";
   {
     arr = [||];
     size = 0;
-    next_id = 0;
-    top_rated = Hashtbl.create 1024;
+    top_rated = Bytes.make (4 lsl size_log2) '\000';
     pending_favored = 0;
   }
 
@@ -50,6 +59,8 @@ let create () =
 let fav_factor e = e.fav
 
 let size t = t.size
+let pending_favored t = t.pending_favored
+let entries t = t.arr
 
 (** The [i]-th entry in discovery order, O(1). *)
 let get t i =
@@ -62,30 +73,58 @@ let iter f t =
     f (Array.unsafe_get t.arr i)
   done
 
-let recompute_favored (t : t) : unit =
-  Hashtbl.reset t.top_rated;
-  iter
-    (fun e ->
-      Array.iter
-        (fun idx ->
-          match Hashtbl.find_opt t.top_rated idx with
-          | Some best when best.fav <= e.fav -> ()
-          | _ -> Hashtbl.replace t.top_rated idx e)
-        e.indices)
-    t;
-  iter (fun e -> e.favored <- false) t;
-  Hashtbl.iter (fun _ e -> e.favored <- true) t.top_rated;
-  t.pending_favored <- 0;
-  iter
-    (fun e ->
-      if e.favored && e.times_fuzzed = 0 then
-        t.pending_favored <- t.pending_favored + 1)
-    t
+(* Slot access, bounds-checked: an index outside the map raises
+   [Invalid_argument] instead of touching a neighbouring slot. The
+   primitives work on unboxed int32s, so a slot read or write allocates
+   nothing. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
+let slot t idx = Int32.to_int (get32 t.top_rated (idx lsl 2))
+let set_slot t idx v = set32 t.top_rated (idx lsl 2) (Int32.of_int v)
+let slots t = Bytes.length t.top_rated lsr 2
+
+(* update_bitmap_score's test for one index whose slot reads [s]: [e]
+   takes it when it is unclaimed or held by a strictly costlier entry —
+   ties keep the earlier entry. *)
+let beats t s (e : entry) =
+  s = 0 || (Array.unsafe_get t.arr (s - 1)).fav > e.fav
+
+(* Clear the table, then one claim pass over every entry's indices that
+   counts the slots each entry holds: an entry is favored when it still
+   holds one at the end. Cost is the clear plus the indices, with no
+   scan of the map-sized table. *)
+let recompute_favored (t : t) : unit =
+  Bytes.fill t.top_rated 0 (Bytes.length t.top_rated) '\000';
+  let held = Array.make t.size 0 in
+  for pos = 0 to t.size - 1 do
+    let e = Array.unsafe_get t.arr pos in
+    let ix = e.indices in
+    for k = 0 to Array.length ix - 1 do
+      let idx = Array.unsafe_get ix k in
+      let s = slot t idx in
+      if beats t s e then begin
+        if s <> 0 then held.(s - 1) <- held.(s - 1) - 1;
+        held.(pos) <- held.(pos) + 1;
+        set_slot t idx (pos + 1)
+      end
+    done
+  done;
+  t.pending_favored <- 0;
+  for pos = 0 to t.size - 1 do
+    let e = Array.unsafe_get t.arr pos in
+    e.favored <- held.(pos) > 0;
+    if e.favored && e.times_fuzzed = 0 then
+      t.pending_favored <- t.pending_favored + 1
+  done
+
+(** Append an entry. Its [id] is its queue position: entries are never
+    removed, so the two stay equal for the corpus's lifetime, and the
+    top-rated table and checkpoints name entries by it. *)
 let add (t : t) ~data ~indices ~exec_blocks ~depth ~found_at : entry =
   let e =
     {
-      id = t.next_id;
+      id = t.size;
       data;
       indices;
       exec_blocks;
@@ -96,7 +135,6 @@ let add (t : t) ~data ~indices ~exec_blocks ~depth ~found_at : entry =
       times_fuzzed = 0;
     }
   in
-  t.next_id <- t.next_id + 1;
   if t.size = Array.length t.arr then begin
     let bigger = Array.make (max 16 (2 * t.size)) e in
     Array.blit t.arr 0 bigger 0 t.size;
@@ -115,19 +153,45 @@ let to_list t =
     covers more cheaply; favored flags are refreshed in full at cycle
     boundaries by {!recompute_favored}. Newly-favored never-fuzzed
     entries bump [pending_favored], exactly as the cycle recompute
-    would. *)
+    would. O(indices), allocation-free. *)
 let claim_top_rated (t : t) (e : entry) : unit =
+  if e.id >= t.size || Array.unsafe_get t.arr e.id != e then
+    invalid_arg "Corpus.claim_top_rated: entry not in this corpus";
+  let ix = e.indices in
+  for k = 0 to Array.length ix - 1 do
+    let idx = Array.unsafe_get ix k in
+    if beats t (slot t idx) e then begin
+      set_slot t idx (e.id + 1);
+      if not e.favored then begin
+        e.favored <- true;
+        if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
+      end
+    end
+  done
+
+(** The top-rated table as [(map index, entry id)] pairs, ascending by
+    index — the checkpoint's view of the table. *)
+let top_rated_pairs (t : t) : (int * int) array =
+  let acc = ref [] in
+  for idx = slots t - 1 downto 0 do
+    let s = slot t idx in
+    if s <> 0 then acc := (idx, s - 1) :: !acc
+  done;
+  Array.of_list !acc
+
+(** Overwrite the favored bookkeeping with a captured image: the table
+    from {!top_rated_pairs} output and the pending-favored count. Every
+    index must lie in the map and every id name an entry already added. *)
+let restore_top_rated (t : t) ~(pending_favored : int)
+    (pairs : (int * int) array) : unit =
+  Bytes.fill t.top_rated 0 (Bytes.length t.top_rated) '\000';
   Array.iter
-    (fun idx ->
-      match Hashtbl.find_opt t.top_rated idx with
-      | Some best when best.fav <= e.fav -> ()
-      | _ ->
-          Hashtbl.replace t.top_rated idx e;
-          if not e.favored then begin
-            e.favored <- true;
-            if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
-          end)
-    e.indices
+    (fun (idx, id) ->
+      if idx < 0 || idx >= slots t || id < 0 || id >= t.size then
+        invalid_arg "Corpus.restore_top_rated";
+      set_slot t idx (id + 1))
+    pairs;
+  t.pending_favored <- pending_favored
 
 (** One more fuzzing pass over [e]; a favored entry's first pass clears
     it from [pending_favored]. *)
@@ -161,18 +225,30 @@ let favored_subset (t : t) : entry list =
   recompute_favored t;
   List.filter (fun e -> e.favored) (to_list t)
 
-(** Union of all covered indices across the queue, ascending. *)
+(** Union of all covered indices across the queue, ascending: one mark
+    byte per map index, then one scan — no hashing, no sort. *)
 let covered_indices_arr (t : t) : int array =
-  let tbl = Hashtbl.create 1024 in
-  iter (fun e -> Array.iter (fun i -> Hashtbl.replace tbl i ()) e.indices) t;
-  let out = Array.make (Hashtbl.length tbl) 0 in
+  let seen = Bytes.make (slots t) '\000' in
+  let n = ref 0 in
+  iter
+    (fun e ->
+      Array.iter
+        (fun i ->
+          if Bytes.get seen i = '\000' then begin
+            Bytes.unsafe_set seen i '\001';
+            incr n
+          end)
+        e.indices)
+    t;
+  let out = Array.make !n 0 in
   let k = ref 0 in
-  Hashtbl.iter
-    (fun i () ->
-      out.(!k) <- i;
-      incr k)
-    tbl;
-  Array.sort Int.compare out;
+  Bytes.iteri
+    (fun i c ->
+      if c <> '\000' then begin
+        out.(!k) <- i;
+        incr k
+      end)
+    seen;
   out
 
 (** List wrapper over {!covered_indices_arr} (renderer convenience). *)

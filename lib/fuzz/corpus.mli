@@ -6,9 +6,12 @@
     scheduler's favored-skip logic.
 
     The queue is a growable array in discovery order: entries are never
-    removed, so an index is a stable identity and {!get} is O(1) — the
-    scheduler snapshots a cycle by remembering the queue length and the
-    splice stage picks random peers without list walks. *)
+    removed, so an entry's [id] is its queue position for the corpus's
+    lifetime and {!get} is O(1) — the scheduler snapshots a cycle by
+    remembering the queue length and the splice stage picks random peers
+    without list walks. The top-rated table is a flat map-sized array
+    (afl's [top_rated[MAP_SIZE]], 4 B per map slot) holding positions,
+    so claims are O(indices) and allocation-free. *)
 
 type entry = {
   id : int;
@@ -22,22 +25,24 @@ type entry = {
   mutable times_fuzzed : int;
 }
 
-type t = {
-  mutable arr : entry array;  (** slots [0, size), discovery order *)
-  mutable size : int;
-  mutable next_id : int;
-  top_rated : (int, entry) Hashtbl.t;  (** map index -> cheapest entry *)
-  mutable pending_favored : int;
-}
+(** The queue plus its favored bookkeeping (top-rated table and
+    pending-favored count). *)
+type t
 
-val create : unit -> t
+(** An empty queue whose top-rated table spans a [2^size_log2]-index
+    coverage map (default {!Pathcov.Coverage_map.default_size_log2};
+    4 ≤ n ≤ 24). Every index an entry covers must lie in that map. *)
+val create : ?size_log2:int -> unit -> t
 
 (** afl's fav_factor: execution work x input length (cached per entry). *)
 val fav_factor : entry -> int
 
-(** Full favored recomputation (afl's cull_queue, run at cycle starts). *)
+(** Full favored recomputation (afl's cull_queue, run at cycle starts):
+    clear the table, then one claim pass over every entry's indices that
+    counts the slots each entry holds; favored = holds at least one. *)
 val recompute_favored : t -> unit
 
+(** Append an entry; its [id] is its queue position. *)
 val add :
   t ->
   data:string ->
@@ -58,11 +63,31 @@ val to_list : t -> entry list
 
 val size : t -> int
 
+(** Favored entries not yet fuzzed — the scheduler's skip input. *)
+val pending_favored : t -> int
+
+(** The backing array: slots [0, {!size}) hold the entries in discovery
+    order, the rest is padding. Read-only; growth may replace it, so
+    read it afresh after an {!add}. *)
+val entries : t -> entry array
+
 (** Incremental update_bitmap_score: the (just-retained) entry claims
     every top_rated slot it covers more cheaply, bumping
     [pending_favored] for newly-favored never-fuzzed entries. Full
-    favored refresh stays with {!recompute_favored} at cycle starts. *)
+    favored refresh stays with {!recompute_favored} at cycle starts.
+    O(indices) and allocation-free; raises [Invalid_argument] for an
+    entry of another corpus. *)
 val claim_top_rated : t -> entry -> unit
+
+(** The top-rated table as [(map index, entry id)] pairs, ascending by
+    index (checkpoint capture). *)
+val top_rated_pairs : t -> (int * int) array
+
+(** Overwrite the top-rated table and the pending-favored count with a
+    captured image (checkpoint restore, after re-adding the entries).
+    Raises [Invalid_argument] on an index outside the map or an id that
+    names no entry. *)
+val restore_top_rated : t -> pending_favored:int -> (int * int) array -> unit
 
 (** One more fuzzing pass over an entry (both loops' scheduler step): a
     favored entry's first pass clears it from [pending_favored]. *)

@@ -244,13 +244,10 @@ let run_item (sh : shard) (view : Corpus.view)
                if not (Tracer.seen_signal ex.tracer s) then begin
                  let out = Executor.replay_scratch ex in
                  capture_outcome out ~input ~depth;
-                 let tr = ex.feedback.trace in
-                 let idxs = Pathcov.Coverage_map.sorted_indices tr in
-                 let vals = Pathcov.Coverage_map.values_at tr idxs in
                  if
                    not
-                     (Pathcov.Coverage_map.sparse_would_merge
-                        ~virgin:global_virgin ~idxs ~vals)
+                     (Pathcov.Coverage_map.would_merge ~virgin:global_virgin
+                        ex.feedback.trace)
                  then Tracer.mark_seen ex.tracer s
                end);
   res.retained <- List.rev res.retained;
@@ -303,7 +300,11 @@ let plan_epoch (t : t) : item array =
     end;
     let e = Corpus.get q.corpus t.next_qi in
     t.next_qi <- t.next_qi + 1;
-    if not (Campaign.entry_skip t.plan_rng ~pending_favored:q.corpus.pending_favored e)
+    if
+      not
+        (Campaign.entry_skip t.plan_rng
+           ~pending_favored:(Corpus.pending_favored q.corpus)
+           e)
     then begin
       let calib_cost = if base.cmplog then 1 else 0 in
       let remaining = base.budget - (q.execs + !planned) in

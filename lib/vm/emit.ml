@@ -111,9 +111,96 @@ let artifact_path key =
 
 (* ------------------------------------------------------------------ *)
 (* Cache key: resolved IR fingerprint × spec × cmplog × compiler
-   version × emitter version × linking model. *)
+   version × emitter version × linking model × host interfaces. *)
 
-let key_of (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
+(* The cmi search path: the dune build tree that produced the running
+   executable (walk up to the [_build/default] ancestor), plus fmt's
+   findlib dir (vm's interfaces may surface its types). Overridable
+   with a colon-separated [PATHFUZZ_EMIT_INC]. *)
+let discovered_incs =
+  lazy
+    (match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
+    | Some s when s <> "" -> String.split_on_char ':' s
+    | _ ->
+        let marker root =
+          Sys.file_exists
+            (Filename.concat root "lib/vm/.vm.objs/byte/vm.cmi")
+        in
+        let rec up d n =
+          if n > 16 then None
+          else if marker d then Some d
+          else
+            let parent = Filename.dirname d in
+            if parent = d then None else up parent (n + 1)
+        in
+        let root =
+          match up (Filename.dirname Sys.executable_name) 0 with
+          | Some r -> Some r
+          | None -> up (Sys.getcwd ()) 0
+        in
+        let tree =
+          match root with
+          | None -> []
+          | Some root ->
+              List.concat_map
+                (fun (sub, name) ->
+                  let objs =
+                    Filename.concat root
+                      (Printf.sprintf "lib/%s/.%s.objs" sub name)
+                  in
+                  [ Filename.concat objs "byte"; Filename.concat objs "native" ])
+                [ ("vm", "vm"); ("core", "pathcov"); ("minic", "minic") ]
+        in
+        let fmt_dir =
+          let tmp = Filename.temp_file "pfemit" ".out" in
+          let rc =
+            Sys.command
+              (Printf.sprintf "ocamlfind query fmt > %s 2> /dev/null"
+                 (Filename.quote tmp))
+          in
+          let r =
+            if rc = 0 then (
+              try
+                let ic = open_in tmp in
+                let line = input_line ic in
+                close_in ic;
+                if line <> "" then [ line ] else []
+              with _ -> [])
+            else []
+          in
+          (try Sys.remove tmp with _ -> ());
+          r
+        in
+        List.filter Sys.file_exists (tree @ fmt_dir))
+
+(* A generated unit is compiled against the host's interfaces (it opens
+   [Pathcov.Coverage_map], [Vm.Interp], ...). Dynlink refuses an
+   artifact built against other versions of them ("interface
+   mismatch"), so the key folds in a digest of every [.cmi] in the
+   include dirs, by name and content — computed once per process. *)
+let iface_digest_lazy =
+  lazy
+    (let b = Buffer.create 4096 in
+     List.iter
+       (fun d ->
+         let files = try Sys.readdir d with Sys_error _ -> [||] in
+         Array.sort compare files;
+         Array.iter
+           (fun f ->
+             if Filename.check_suffix f ".cmi" then
+               match Digest.file (Filename.concat d f) with
+               | dg ->
+                   Buffer.add_string b f;
+                   Buffer.add_string b dg
+               | exception Sys_error _ -> ())
+           files)
+       (Lazy.force discovered_incs);
+     Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let iface_digest () = Lazy.force iface_digest_lazy
+
+let cache_key ?iface_digest:(iface = iface_digest ()) (p : prepared)
+    (spec : Compile.spec) (cmplog : bool) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Marshal.to_string p.prog []);
   Buffer.add_string b (Compile.spec_name spec);
@@ -125,6 +212,7 @@ let key_of (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
   Buffer.add_string b Sys.ocaml_version;
   Buffer.add_string b (string_of_int emitter_version);
   Buffer.add_string b (if Dynlink.is_native then "n" else "b");
+  Buffer.add_string b iface;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)
@@ -694,7 +782,7 @@ let unit_source entries =
   Buffer.contents buf
 
 let source ?plans ?(cmplog = true) p spec =
-  unit_source [ (key_of p spec cmplog, p, spec, cmplog, plans) ]
+  unit_source [ (cache_key p spec cmplog, p, spec, cmplog, plans) ]
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process compilation *)
@@ -709,66 +797,6 @@ let read_tail path n =
     close_in ic;
     s
   with _ -> ""
-
-(* The cmi search path: the dune build tree that produced the running
-   executable (walk up to the [_build/default] ancestor), plus fmt's
-   findlib dir (vm's interfaces may surface its types). Overridable
-   with a colon-separated [PATHFUZZ_EMIT_INC]. *)
-let discovered_incs =
-  lazy
-    (match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
-    | Some s when s <> "" -> String.split_on_char ':' s
-    | _ ->
-        let marker root =
-          Sys.file_exists
-            (Filename.concat root "lib/vm/.vm.objs/byte/vm.cmi")
-        in
-        let rec up d n =
-          if n > 16 then None
-          else if marker d then Some d
-          else
-            let parent = Filename.dirname d in
-            if parent = d then None else up parent (n + 1)
-        in
-        let root =
-          match up (Filename.dirname Sys.executable_name) 0 with
-          | Some r -> Some r
-          | None -> up (Sys.getcwd ()) 0
-        in
-        let tree =
-          match root with
-          | None -> []
-          | Some root ->
-              List.concat_map
-                (fun (sub, name) ->
-                  let objs =
-                    Filename.concat root
-                      (Printf.sprintf "lib/%s/.%s.objs" sub name)
-                  in
-                  [ Filename.concat objs "byte"; Filename.concat objs "native" ])
-                [ ("vm", "vm"); ("core", "pathcov"); ("minic", "minic") ]
-        in
-        let fmt_dir =
-          let tmp = Filename.temp_file "pfemit" ".out" in
-          let rc =
-            Sys.command
-              (Printf.sprintf "ocamlfind query fmt > %s 2> /dev/null"
-                 (Filename.quote tmp))
-          in
-          let r =
-            if rc = 0 then (
-              try
-                let ic = open_in tmp in
-                let line = input_line ic in
-                close_in ic;
-                if line <> "" then [ line ] else []
-              with _ -> [])
-            else []
-          in
-          (try Sys.remove tmp with _ -> ());
-          r
-        in
-        List.filter Sys.file_exists (tree @ fmt_dir))
 
 let compile_source ~(tmp : string) ~(modbase : string) : (string, string) result
     =
@@ -886,7 +914,7 @@ let locked f = Mutex.protect lock f
 
 let maker_for ?plans ~cmplog (p : prepared) (spec : Compile.spec) :
     ((unit -> raw), string) result =
-  let key = key_of p spec cmplog in
+  let key = cache_key p spec cmplog in
   match Hashtbl.find_opt makers key with
   | Some mk ->
       Atomic.incr hits;
@@ -930,7 +958,7 @@ let preload (entries : (prepared * Compile.spec * bool) list) : int =
   else
     locked (fun () ->
         let keyed =
-          List.map (fun (p, spec, cmplog) -> (key_of p spec cmplog, p, spec, cmplog)) entries
+          List.map (fun (p, spec, cmplog) -> (cache_key p spec cmplog, p, spec, cmplog)) entries
         in
         (* Dedup by key, keep first occurrence. *)
         let seen = Hashtbl.create 64 in

@@ -16,9 +16,9 @@
     suite enforces this against the boxed reference interpreter.
 
     Artifacts are cached on disk keyed by a content hash of the
-    resolved IR, the spec, the cmplog flag, the compiler version and
-    the emitter version, so a campaign pays the compile cost once ever
-    per subject. Every fallible step ({!instance}, {!preload}) returns
+    resolved IR, the spec, the cmplog flag, the compiler version, the
+    emitter version and the host's interfaces ({!iface_digest}), so a
+    campaign pays the compile cost once per subject and library build. Every fallible step ({!instance}, {!preload}) returns
     [Error reason] rather than raising: callers degrade to the fused
     closure engine and surface the reason through their own telemetry
     (the fuzz layer's [emit.fallbacks] metric and [emit_fallback]
@@ -46,6 +46,17 @@ val cache_dir : unit -> string
     {!Pathcov.Probe} source twins — must bump it; a test pins the
     {!source} digests to catch a forgotten bump. *)
 val emitter_version : int
+
+(** Digest of every [.cmi] in the include dirs generated units compile
+    against, by file name and content; computed once per process. A
+    change to any host interface changes every {!cache_key}, so a warm
+    cache never serves an artifact Dynlink would refuse. *)
+val iface_digest : unit -> string
+
+(** The artifact cache key of one [(prepared, spec, cmplog)] triple.
+    [iface_digest] defaults to {!iface_digest}[ ()]. *)
+val cache_key :
+  ?iface_digest:string -> Interp.prepared -> Compile.spec -> bool -> string
 
 (** The OCaml source {!instance} compiles for one [(prepared, spec,
     cmplog)] triple when its cache misses, byte for byte. *)

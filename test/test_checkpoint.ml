@@ -358,6 +358,105 @@ let test_rejects_damage () =
   expect_error "foreign bytes"
     (Fuzz.Checkpoint.of_string "not a checkpoint at all\n\x00\x01\x02")
 
+(* A top-rated table is a flat array indexed by map index and naming
+   entries by queue position, so a checkpoint whose pairs or entries
+   could fault the restore — or, with ids that are not positions,
+   silently mis-restore the table — must be rejected as corrupt. Each
+   tamper is re-serialized with a valid checksum, so only the payload
+   validation stands between it and the restore. *)
+let test_rejects_tampered_records () =
+  let ck = some_checkpoint () in
+  let n = Array.length ck.entries and map = 1 lsl ck.id.map_size_log2 in
+  let tr = ck.top_rated in
+  let ntr = Array.length tr in
+  check_bool "snapshot has entries and top-rated pairs to tamper" true
+    (n >= 2 && ntr >= 2);
+  (match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("untampered snapshot rejected: " ^ e));
+  let with_pair k p = Array.mapi (fun j q -> if j = k then p else q) tr in
+  let with_entry k f = Array.mapi (fun j e -> if j = k then f e else e) ck.entries in
+  let tampered =
+    [
+      ( "top-rated index past the map",
+        { ck with top_rated = with_pair (ntr - 1) (map, snd tr.(ntr - 1)) } );
+      ("negative top-rated index", { ck with top_rated = with_pair 0 (-1, snd tr.(0)) });
+      ( "top-rated pairs out of order",
+        {
+          ck with
+          top_rated =
+            Array.mapi (fun j q -> if j = 0 then tr.(1) else if j = 1 then tr.(0) else q) tr;
+        } );
+      ( "duplicate top-rated index",
+        { ck with top_rated = with_pair 1 (fst tr.(0), snd tr.(1)) } );
+      ( "top-rated id past the queue",
+        { ck with top_rated = with_pair 0 (fst tr.(0), n) } );
+      ( "entry index past the map",
+        {
+          ck with
+          entries =
+            with_entry 0 (fun e ->
+                { e with e_indices = Array.append e.e_indices [| map |] });
+        } );
+      ( "entry ids swapped",
+        {
+          ck with
+          entries =
+            Array.mapi
+              (fun j (e : Fuzz.Checkpoint.entry_rec) ->
+                if j = 0 then { e with e_id = 1 }
+                else if j = 1 then { e with e_id = 0 }
+                else e)
+              ck.entries;
+        } );
+      ("next entry id off", { ck with next_entry_id = n + 1 });
+    ]
+  in
+  List.iter
+    (fun (label, bad) ->
+      match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string bad) with
+      | exception e ->
+          Alcotest.fail (label ^ ": of_string raised " ^ Printexc.to_string e)
+      | r -> expect_error label r)
+    tampered
+
+(* The bytes of a pathafl campaign's snapshots are pinned: pathafl fills
+   the most top-rated slots, so a change to how the table is held,
+   captured or ordered shows here. Recorded with the Hashtbl table; the
+   flat table must write the same bytes. No clock, so no wall-clock
+   floats enter the payload. *)
+let test_pathafl_bytes_pinned () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.program s in
+  let digest cks =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "" (List.rev_map Fuzz.Checkpoint.to_string cks)))
+  in
+  let seq = ref [] in
+  let _ =
+    run_seq
+      ~checkpoint:(mem_sink seq)
+      (seq_config ~budget:6_000 ~seed:3 ~mode:Pathcov.Feedback.Pathafl ())
+      prog s.seeds
+  in
+  let shd = ref [] in
+  let _ =
+    run_shd
+      ~checkpoint:{ (mem_sink shd) with every = 1_500 }
+      (shard_config ~budget:6_000 ~seed:3 ~sync_interval:512
+         ~mode:Pathcov.Feedback.Pathafl ~shards:2 ())
+      prog s.seeds
+  in
+  (* the sequential run's one mid-budget cycle boundary comes right
+     after seed import; the sharded run snapshots every 1500 execs *)
+  check Alcotest.int "sequential snapshots" 1 (List.length !seq);
+  check Alcotest.int "sharded snapshots" 3 (List.length !shd);
+  check Alcotest.string "sequential pathafl snapshot bytes"
+    "c84d91abfb671666964b4a114c9a7f3e" (digest !seq);
+  check Alcotest.string "sharded pathafl snapshot bytes"
+    "1447354f1c407a1d868ea3e124c678ef" (digest !shd)
+
 let test_compat_check () =
   let ck = some_checkpoint () in
   (match Fuzz.Checkpoint.check_compat ~expected:ck.id ck with
@@ -464,6 +563,10 @@ let suite =
         Alcotest.test_case "serialization round trip" `Quick test_roundtrip;
         Alcotest.test_case "damaged snapshots rejected" `Quick
           test_rejects_damage;
+        Alcotest.test_case "tampered records rejected" `Quick
+          test_rejects_tampered_records;
+        Alcotest.test_case "pathafl snapshot bytes pinned" `Quick
+          test_pathafl_bytes_pinned;
         Alcotest.test_case "config compatibility check" `Quick
           test_compat_check;
         Alcotest.test_case "atomic file round trip" `Quick test_file_io;

@@ -100,6 +100,94 @@ let prop_journal_matches_bytes =
       && Array.to_list (Cm.sorted_indices m) = expected
       && Cm.count_set m = List.length expected)
 
+(* [sorted_indices] is an LSD radix sort over 8-bit digits: sizes 2^4,
+   2^8 (one pass), 2^9, 2^16 (two), 2^17, 2^24 (three), full and partial
+   top digits. Against a reference sort, on random hit lists biased to
+   index 0 and the last index; the call must leave the journal (and so
+   [classify], [merge_into] and [clear]) exactly as an untouched twin
+   map's. One rig per size, reused across cases — the scratch buffers
+   persist as they do in a campaign. *)
+let radix_sizes = [| 4; 8; 9; 16; 17; 24 |]
+
+type rig = { trace : Cm.t; twin : Cm.t; v1 : Cm.t; v2 : Cm.t }
+
+let rigs =
+  Array.map
+    (fun size_log2 ->
+      lazy
+        {
+          trace = Cm.create ~size_log2 ();
+          twin = Cm.create ~size_log2 ();
+          v1 = Cm.create_virgin ~size_log2 ();
+          v2 = Cm.create_virgin ~size_log2 ();
+        })
+    radix_sizes
+
+let journal m =
+  let l = ref [] in
+  Cm.iteri_set (fun i c -> l := (i, c) :: !l) m;
+  !l
+
+(* Hit [idxs] (each [reps] times) in both maps, sort one, compare. *)
+let radix_agrees (r : rig) idxs ~reps =
+  List.iter
+    (fun i ->
+      for _ = 1 to reps do
+        Cm.hit r.trace i;
+        Cm.hit r.twin i
+      done)
+    idxs;
+  let before = journal r.trace in
+  let got = Cm.sorted_indices r.trace in
+  let sorted = Array.to_list got = List.sort_uniq compare idxs in
+  let journal_kept = journal r.trace = before in
+  Cm.classify r.trace;
+  Cm.classify r.twin;
+  let classify_same = journal r.trace = journal r.twin in
+  let merge_same =
+    Cm.merge_into ~virgin:r.v1 r.trace = Cm.merge_into ~virgin:r.v2 r.twin
+    && Cm.equal r.v1 r.v2
+  in
+  Cm.clear r.trace;
+  Cm.clear r.twin;
+  let cleared =
+    Cm.count_set r.trace = 0
+    && Cm.sorted_indices r.trace = [||]
+    && List.for_all (fun i -> Cm.get r.trace i = 0) idxs
+  in
+  sorted && journal_kept && classify_same && merge_same && cleared
+
+let prop_sorted_indices_radix =
+  QCheck.Test.make ~count:300 ~name:"radix sorted_indices agrees with a reference sort"
+    QCheck.(
+      triple (int_bound (Array.length radix_sizes - 1)) (int_range 1 3)
+        (list_of_size Gen.(int_range 0 600) (int_bound max_int)))
+    (fun (si, reps, raws) ->
+      let size = 1 lsl radix_sizes.(si) in
+      let idx raw =
+        match raw mod 8 with 0 -> 0 | 1 -> size - 1 | _ -> raw / 8 mod size
+      in
+      radix_agrees (Lazy.force rigs.(si)) (List.map idx raws) ~reps)
+
+(* Empty maps at every size; full maps where they fit a test (up to 2^17
+   — a full 2^24 map would need ~400 MB of index arrays), hit in a
+   scrambled order. *)
+let test_sorted_indices_edges () =
+  Array.iteri
+    (fun si size_log2 ->
+      let r = Lazy.force rigs.(si) in
+      check Alcotest.bool
+        (Printf.sprintf "2^%d empty" size_log2)
+        true (radix_agrees r [] ~reps:1);
+      if size_log2 <= 17 then begin
+        let size = 1 lsl size_log2 in
+        let all = List.init size (fun k -> (k * 0x9E3779B1) land (size - 1)) in
+        check Alcotest.bool
+          (Printf.sprintf "2^%d full" size_log2)
+          true (radix_agrees r all ~reps:1)
+      end)
+    radix_sizes
+
 (* --- feedback listeners --- *)
 
 let run_with_feedback fb prog input =
@@ -310,6 +398,8 @@ let suite =
         Alcotest.test_case "classify" `Quick test_classify;
         Alcotest.test_case "novelty transitions" `Quick test_novelty_transitions;
         Alcotest.test_case "copy and hash" `Quick test_copy_and_hash;
+        Alcotest.test_case "sorted_indices empty and full maps" `Quick
+          test_sorted_indices_edges;
       ] );
     ( "feedback",
       [
@@ -327,5 +417,10 @@ let suite =
       ] );
     ( "coverage-properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_merge_idempotent; prop_journal_matches_bytes; prop_feedback_deterministic ] );
+        [
+          prop_merge_idempotent;
+          prop_journal_matches_bytes;
+          prop_feedback_deterministic;
+          prop_sorted_indices_radix;
+        ] );
   ]

@@ -133,6 +133,82 @@ let test_fav_factor_prefers_cheap () =
   check Alcotest.int "single favored" 1 (List.length favored);
   check Alcotest.string "the fast one" "fast" (List.hd favored).data
 
+(* Model test: the flat map-sized top-rated table against the historical
+   Hashtbl corpus kept in [Corpus_ref]. Random admit / add-without-claim /
+   recompute / mark_fuzzed sequences over a 2^4 or 2^8 map — tiny maps and
+   fav factors drawn from a handful of values make ties, index 0 and the
+   last index common — must agree on every favored flag, on
+   [pending_favored] and on the (index, id) table after every step.
+   Indices are raw draws: unsorted, duplicates allowed. *)
+type corpus_op =
+  | Admit of int * int * int list  (** data length, exec blocks, indices *)
+  | Add_only of int * int * int list
+  | Recompute
+  | Fuzz of int  (** mark_fuzzed on entry [n mod size] *)
+
+let gen_corpus_ops ~size_log2 =
+  let open QCheck.Gen in
+  let last = (1 lsl size_log2) - 1 in
+  let index =
+    frequency [ (1, return 0); (1, return last); (4, int_bound last) ]
+  in
+  let entry = triple (int_bound 2) (int_range 1 3) (list_size (int_bound 6) index) in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (5, map (fun (l, b, ix) -> Admit (l, b, ix)) entry);
+         (1, map (fun (l, b, ix) -> Add_only (l, b, ix)) entry);
+         (1, return Recompute);
+         (3, map (fun n -> Fuzz n) nat);
+       ])
+
+let corpus_agrees ~size_log2 ops =
+  let c = Fuzz.Corpus.create ~size_log2 () in
+  let m = Corpus_ref.create () in
+  let step = function
+    | Admit (len, blocks, ix) | Add_only (len, blocks, ix) as op ->
+        let data = String.make len 'x' and indices = Array.of_list ix in
+        let e =
+          Fuzz.Corpus.add c ~data ~indices ~exec_blocks:blocks ~depth:0 ~found_at:0
+        in
+        let r = Corpus_ref.add m ~data ~indices ~exec_blocks:blocks in
+        if e.id <> r.id then Alcotest.fail "entry id is not the queue position";
+        (match op with
+        | Admit _ ->
+            Fuzz.Corpus.claim_top_rated c e;
+            Corpus_ref.claim_top_rated m r
+        | _ -> ())
+    | Recompute ->
+        Fuzz.Corpus.recompute_favored c;
+        Corpus_ref.recompute_favored m
+    | Fuzz n ->
+        if Fuzz.Corpus.size c > 0 then begin
+          let i = n mod Fuzz.Corpus.size c in
+          Fuzz.Corpus.mark_fuzzed c (Fuzz.Corpus.get c i);
+          Corpus_ref.mark_fuzzed m (Corpus_ref.get m i)
+        end
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      let flags_agree = ref true in
+      Fuzz.Corpus.iter
+        (fun e ->
+          let r = Corpus_ref.get m e.id in
+          if e.favored <> r.favored || e.times_fuzzed <> r.times_fuzzed then
+            flags_agree := false)
+        c;
+      !flags_agree
+      && Fuzz.Corpus.pending_favored c = m.pending_favored
+      && Fuzz.Corpus.top_rated_pairs c = Corpus_ref.top_rated_pairs m)
+    ops
+
+let prop_corpus_model size_log2 =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "flat top-rated table agrees with the Hashtbl model (2^%d)" size_log2)
+    (QCheck.make (gen_corpus_ops ~size_log2))
+    (corpus_agrees ~size_log2)
+
 (* --- triage --- *)
 
 let crash_of src input =
@@ -467,5 +543,7 @@ let suite =
         Alcotest.test_case "geomean" `Quick test_stats_geomean;
         Alcotest.test_case "venn" `Quick test_stats_venn;
       ] );
-    ("fuzz-properties", List.map QCheck_alcotest.to_alcotest [ prop_havoc_valid ]);
+    ( "fuzz-properties",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_havoc_valid; prop_corpus_model 4; prop_corpus_model 8 ] );
   ]

@@ -172,6 +172,68 @@ let test_corpus_indexing () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- retention primitives: O(indices), allocation-free --- *)
+
+(* Minor-heap words allocated by [f ()] on this domain, averaged over [n]
+   calls, after one warm-up call. (The heap-wide [Gc.allocated_bytes]
+   read high here once other tests had run.) *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Every claim overwrites all of its entry's slots (entries arrive
+   cheapest-last), so the write path runs for every index; the words a
+   claim allocates must not grow with the entry's index count. *)
+let test_claim_allocation () =
+  let claim_words k =
+    let c = Fuzz.Corpus.create () in
+    let entries =
+      Array.init 64 (fun j ->
+          Fuzz.Corpus.add c ~data:"x"
+            ~indices:(Array.init k (fun i -> (i * 13) land 0xffff))
+            ~exec_blocks:(1000 - j) ~depth:0 ~found_at:0)
+    in
+    let next = ref 0 in
+    words_per_call 63 (fun () ->
+        Fuzz.Corpus.claim_top_rated c entries.(!next);
+        incr next)
+  in
+  let small = claim_words 8 and large = claim_words 4096 in
+  check_bool
+    (Printf.sprintf "claim_top_rated allocates nothing (8 indices: %.2f words)" small)
+    true (small < 1.);
+  check_bool
+    (Printf.sprintf
+       "claim_top_rated words do not grow with the index count (8: %.2f, 4096: %.2f)"
+       small large)
+    true (large <= small +. 0.5)
+
+(* [sorted_indices] allocates its result array (n words + header) and
+   nothing else: one, two and three radix passes. A result of more than
+   256 words goes straight to the major heap, so there the minor heap
+   must see nothing at all. *)
+let test_sorted_indices_allocation () =
+  List.iter
+    (fun (size_log2, n) ->
+      let m = Pathcov.Coverage_map.create ~size_log2 () in
+      for k = 0 to n - 1 do
+        Pathcov.Coverage_map.hit m ((k * 7919) land ((1 lsl size_log2) - 1))
+      done;
+      let w =
+        words_per_call 100 (fun () -> ignore (Pathcov.Coverage_map.sorted_indices m))
+      in
+      let result = if n + 1 <= 257 then n + 1 else 0 in
+      check_bool
+        (Printf.sprintf "sorted_indices 2^%d, %d indices: %.2f minor words (result %d)"
+           size_log2 n w result)
+        true
+        (w <= float_of_int result +. 0.5))
+    [ (8, 200); (16, 50); (16, 250); (24, 120); (16, 3000) ]
+
 let suite =
   [
     ( "hotpath",
@@ -183,5 +245,8 @@ let suite =
           test_mutator_allocation;
         test_case "campaign steady-state allocation" `Quick
           test_campaign_allocation;
+        test_case "claim_top_rated allocation-free" `Quick test_claim_allocation;
+        test_case "sorted_indices allocates only its result" `Quick
+          test_sorted_indices_allocation;
       ] );
   ]

@@ -429,6 +429,25 @@ let test_emit_source_pinned () =
         [ (true, on); (false, off) ])
     specs emit_pins
 
+(* --- the cache key covers the host interfaces: a unit built against
+   other [.cmi]s than this build's fails Dynlink ("interface mismatch"),
+   so a warm cache from an older build must miss, not be loaded. *)
+let test_cache_key_covers_interfaces () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prepared = Vm.Interp.prepare (Subjects.Subject.program s) in
+  let key ?iface_digest () =
+    Vm.Emit.cache_key ?iface_digest prepared
+      (Vm.Compile.Sfull Pathcov.Feedback.Pathafl) false
+  in
+  let here = Vm.Emit.iface_digest () in
+  check Alcotest.string "interface digest computed once per process" here
+    (Vm.Emit.iface_digest ());
+  check Alcotest.string "default key folds in this build's digest"
+    (key ~iface_digest:here ()) (key ());
+  check_bool "key changes when the interface digest changes" true
+    (key ~iface_digest:(Digest.to_hex (Digest.string "other build")) ()
+    <> key ())
+
 let suite =
   [
     ( "native",
@@ -447,6 +466,8 @@ let suite =
           test_native_cache_hit;
         Alcotest.test_case "PATHFUZZ_EMIT_FAIL forces clean failure" `Quick
           test_native_forced_fail;
+        Alcotest.test_case "cache key covers host interfaces" `Quick
+          test_cache_key_covers_interfaces;
         Alcotest.test_case "emitted source pinned per spec" `Quick
           test_emit_source_pinned;
       ] );
